@@ -52,12 +52,15 @@ class ConnectionMatrices:
 
     conn_time is float64 with NaN marking infeasible pairs (including the
     diagonal); theta is int8 in {0, 1}. Use feasible()/time() for scalar
-    access; time() refuses infeasible entries.
+    access; time() refuses infeasible entries. departures maps each station
+    to the ids of the trains leaving it, ascending: the trains connectable
+    after train i are exactly departures[i's arrival station] minus i.
     """
 
     conn_time: np.ndarray
     theta: np.ndarray
     n: int
+    departures: dict[str, tuple[int, ...]]
 
     def feasible(self, i: int, j: int) -> bool:
         return not np.isnan(self.conn_time[i, j])
@@ -67,9 +70,6 @@ class ConnectionMatrices:
         if np.isnan(v):
             raise ValueError(f"trains {i + 1} and {j + 1} cannot connect")
         return int(v)
-
-    def time_by_id(self, id_i: int, id_j: int) -> int:
-        return self.time(id_i - 1, id_j - 1)
 
     def dump_tsv(self, which: str = "conn") -> str:
         """Tab-separated dump with 'INF' in place of infeasible entries."""
@@ -98,13 +98,6 @@ class ConnectionMatrices:
             object.__setattr__(self, "_conn_rows", cached)
         return cached
 
-    def theta_rows(self) -> list[list[int]]:
-        cached = getattr(self, "_theta_rows", None)
-        if cached is None:
-            cached = [[int(v) for v in row] for row in self.theta.tolist()]
-            object.__setattr__(self, "_theta_rows", cached)
-        return cached
-
 
 def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
     """Evaluate connection time and maintenance eligibility for every pair."""
@@ -123,4 +116,12 @@ def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
             theta[i, j] = maintenance_eligible(vi, vj, maint)
     conn.setflags(write=False)
     theta.setflags(write=False)
-    return ConnectionMatrices(conn_time=conn, theta=theta, n=n)
+    departures: dict[str, list[int]] = {}
+    for t in instance.trains:  # ordered by id
+        departures.setdefault(t.dep_station, []).append(t.id)
+    return ConnectionMatrices(
+        conn_time=conn,
+        theta=theta,
+        n=n,
+        departures={s: tuple(ids) for s, ids in departures.items()},
+    )

@@ -6,6 +6,11 @@ returns to the depot decide (randomly, or compulsorily when a cycle limit
 would be hit) whether to cut a maintenance arc there. Dead ends restart the
 whole attempt with fresh randomness.
 
+Candidates come from the per-station departure index of ConnectionMatrices:
+each attempt keeps, per station, the id-sorted list of unassigned trains
+leaving it, so a step costs O(departures at that station) rather than a sort
+of every unassigned train, and draws from exactly the same candidate lists.
+
 The same stepping engine also serves the swarm decoder: a caller may supply
 a proposed train per position, which is taken whenever it is legal at that
 step and repaired by the normal step logic otherwise.
@@ -13,6 +18,7 @@ step and repaired by the normal step logic otherwise.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,28 +53,32 @@ class ConstructorState:
 
 
 def _candidates(
-    prev_id: int,
+    free: list[int],
     acc_l: float,
     acc_t: float,
-    remaining: set[int],
     arr_at_depot: list[bool],
     mileage: list[float],
     travel: list[int],
     conn_row: list[int | None],
     max_l: float,
     max_t: float,
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], list[int], list[int]]:
+    """Split free, the unassigned departures (ascending ids) of the station
+    where the previous train arrived, in one pass: away-from-depot trains
+    that fit both windows, all depot-bound trains, and the depot-bound ones
+    that fit both windows."""
     away: list[int] = []
     to_depot: list[int] = []
-    for j in sorted(remaining):
-        conn = conn_row[j - 1]
-        if conn is None:
-            continue
+    usable: list[int] = []
+    for j in free:
+        fits = acc_l + mileage[j] <= max_l and acc_t + conn_row[j - 1] + travel[j] <= max_t
         if arr_at_depot[j]:
             to_depot.append(j)
-        elif acc_l + mileage[j] <= max_l and acc_t + conn + travel[j] <= max_t:
+            if fits:
+                usable.append(j)
+        elif fits:
             away.append(j)
-    return away, to_depot
+    return away, to_depot, usable
 
 
 def step_candidates(
@@ -86,11 +96,11 @@ def step_candidates(
     mileage = [0.0] + [t.mileage for t in instance.trains]
     travel = [0] + [t.travel_time for t in instance.trains]
     prev = state.partial[-1]
-    return _candidates(
-        prev,
+    here = matrices.departures[instance.train(prev).arr_station]
+    away, to_depot, _ = _candidates(
+        [j for j in here if j in state.remaining],
         state.accum.mileage,
         state.accum.time,
-        state.remaining,
         arr_at_depot,
         mileage,
         travel,
@@ -98,6 +108,7 @@ def step_candidates(
         instance.params.max_mileage,
         instance.params.max_time,
     )
+    return away, to_depot
 
 
 def _pick(candidates: list[int], rng: np.random.Generator) -> int:
@@ -121,38 +132,44 @@ def build_cycle(
     relaxed, penalty-scored regime); time overruns are never admitted.
     """
     n = instance.n
+    trains = instance.trains
     params = instance.params
     max_l, max_t = params.max_mileage, params.max_time
-    depot = instance.maint_stations
+    depot = instance.maint_station
 
-    mileage = [0.0] + [t.mileage for t in instance.trains]
-    travel = [0] + [t.travel_time for t in instance.trains]
-    arr_at_depot = [False] + [t.arr_station in depot for t in instance.trains]
+    mileage = [0.0] + [t.mileage for t in trains]
+    travel = [0] + [t.travel_time for t in trains]
+    arr_at_depot = [False] + [t.arr_station == depot for t in trains]
     conn_rows = matrices.conn_rows()
 
-    for t in instance.trains:
+    for t in trains:
         if t.mileage > max_l or t.travel_time > max_t:
             raise InfeasibleError(
                 f"train {t.id} alone exceeds a maintenance cycle allowance; no plan exists"
             )
 
     remaining = set(range(1, n + 1))
-    depot_departures = {t.id for t in instance.trains if t.dep_station in depot}
-    if not depot_departures:
+    # unassigned departures per station, ascending ids; a train leaves its
+    # list when placed
+    free = {s: list(ids) for s, ids in matrices.departures.items()}
+    depot_free = free.get(depot)
+    if not depot_free:
         raise InfeasibleError("no train departs the depot station; no plan exists")
 
     order: list[int] = []
     flags: list[int] = []
 
     first = None
-    if proposal is not None and int(proposal[0]) in depot_departures:
+    if proposal is not None:
         first = int(proposal[0])
+        if first not in remaining or trains[first - 1].dep_station != depot:
+            first = None
     if first is None:
-        first = _pick(sorted(depot_departures), rng)
+        first = _pick(depot_free, rng)
     order.append(first)
     flags.append(0)
     remaining.discard(first)
-    depot_departures.discard(first)
+    del depot_free[bisect_left(depot_free, first)]
     acc_l, acc_t = mileage[first], travel[first]
 
     while remaining:
@@ -162,12 +179,14 @@ def build_cycle(
         proposed = int(proposal[d - 1]) if proposal is not None else None
 
         if arr_at_depot[prev]:
-            if not depot_departures:
+            here = depot_free
+            if not here:
                 raise DeadEnd(f"no depot departure left at position {d}")
-            if proposed is not None and proposed in depot_departures:
+            # prev arrived at the depot: connectable means departing it
+            if proposed is not None and proposed in remaining and conn_row[proposed - 1] is not None:
                 j = proposed
             else:
-                j = _pick(sorted(depot_departures), rng)
+                j = _pick(here, rng)
             conn = conn_row[j - 1]
             fits = acc_l + mileage[j] <= max_l and acc_t + conn + travel[j] <= max_t
             maintain = 1 if not fits or rng.random() < maint_prob else 0
@@ -178,6 +197,7 @@ def build_cycle(
                 acc_t += conn + travel[j]
             flags[-1] = maintain
         else:
+            here = free[trains[prev - 1].arr_station]
             j = None
             if proposed is not None and proposed in remaining:
                 conn = conn_row[proposed - 1]
@@ -190,24 +210,18 @@ def build_cycle(
                     elif new_l <= max_l and new_t <= max_t:
                         j = proposed
             if j is None:
-                away, to_depot = _candidates(
-                    prev, acc_l, acc_t, remaining, arr_at_depot,
-                    mileage, travel, conn_row, max_l, max_t,
+                away, to_depot, usable = _candidates(
+                    here, acc_l, acc_t, arr_at_depot, mileage, travel, conn_row, max_l, max_t
                 )
+                # the depot-bound fallback may run the windows tight (the
+                # following depot step can force maintenance), but a train
+                # that breaks one outright is unusable
                 if away:
                     j = _pick(away, rng)
-                elif to_depot:
-                    # the depot-bound fallback may run the windows tight (the
-                    # following depot step can force maintenance), but a train
-                    # that breaks one outright is unusable
-                    usable = [
-                        j2 for j2 in to_depot
-                        if acc_l + mileage[j2] <= max_l
-                        and acc_t + conn_row[j2 - 1] + travel[j2] <= max_t
-                    ]
-                    if not usable:
-                        raise DeadEnd(f"every depot-bound successor overruns at position {d}")
+                elif usable:
                     j = _pick(usable, rng)
+                elif to_depot:
+                    raise DeadEnd(f"every depot-bound successor overruns at position {d}")
                 else:
                     raise DeadEnd(f"no successor from train {prev} at position {d}")
             conn = conn_row[j - 1]
@@ -218,7 +232,7 @@ def build_cycle(
         order.append(j)
         flags.append(0)
         remaining.discard(j)
-        depot_departures.discard(j)
+        del here[bisect_left(here, j)]
 
     if not arr_at_depot[order[-1]]:
         # cannot happen on a flow-balanced instance; guard for odd inputs

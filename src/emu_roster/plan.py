@@ -9,6 +9,7 @@ starts a fresh rotation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .connection import ConnectionMatrices
@@ -146,6 +147,18 @@ class ValidationReport:
         return {v.tag for v in self.violations}
 
 
+def _train_id(t, n: int) -> int | None:
+    """t as a plain int when it is an integral id in 1..n (any integer type
+    with __index__, bools excluded), else None."""
+    if isinstance(t, bool):
+        return None
+    try:
+        i = operator.index(t)
+    except TypeError:
+        return None
+    return i if 1 <= i <= n else None
+
+
 def validate(
     plan: CirculationPlan, instance: TimetableInstance, matrices: ConnectionMatrices
 ) -> ValidationReport:
@@ -169,13 +182,14 @@ def validate(
     for d, flag in enumerate(plan.maint_after):
         if flag not in (0, 1):
             v.append(Violation("SHAPE", f"maintenance flag {flag!r} is not 0/1", d + 1))
-    bad_ids = [t for t in plan.order if not (isinstance(t, int) and 1 <= t <= n)]
+    ids = [_train_id(t, n) for t in plan.order]
+    bad_ids = [t for t, i in zip(plan.order, ids) if i is None]
     if bad_ids:
         v.append(Violation("SHAPE", f"train ids outside 1..{n}: {sorted(set(bad_ids))}"))
     if plan.maint_after and plan.maint_after[-1] != 1:
         v.append(Violation("SHAPE", "last position must be followed by a maintenance arc"))
 
-    known = [t for t in plan.order if isinstance(t, int) and 1 <= t <= n]
+    known = [i for i in ids if i is not None]
     counts: dict[int, int] = {}
     for t in known:
         counts[t] = counts.get(t, 0) + 1
@@ -188,12 +202,12 @@ def validate(
 
     # single-cycle check on the induced successor graph
     if not dups and not missing and len(plan.order) == n and not bad_ids:
-        succ = {plan.order[d]: plan.order[(d + 1) % n] for d in range(n)}
-        seen, cur = 0, plan.order[0]
+        succ = {ids[d]: ids[(d + 1) % n] for d in range(n)}
+        seen, cur = 0, ids[0]
         while seen < n:
             cur = succ[cur]
             seen += 1
-            if cur == plan.order[0]:
+            if cur == ids[0]:
                 break
         if seen != n:
             v.append(Violation("CYCLE", f"successor graph closes after {seen} arcs, expected {n}"))
@@ -203,13 +217,13 @@ def validate(
 
     max_l, max_t = instance.params.max_mileage, instance.params.max_time
     state = AccumState(0.0, 0)
-    for d, tid in enumerate(plan.order):
+    for d, tid in enumerate(ids):
         train = instance.train(tid)
         maint_before = 1 if d == 0 else plan.maint_after[d - 1]
         if maint_before:
             state = accumulate(state, 0, train, 1)
         else:
-            prev = plan.order[d - 1]
+            prev = ids[d - 1]
             conn = matrices.conn_time[prev - 1, tid - 1]
             if conn != conn:  # NaN: not connectable
                 v.append(
@@ -226,7 +240,7 @@ def validate(
                 Violation("EQ12", f"{state.time} min since maintenance exceeds {max_t:.0f}", d + 1)
             )
         if plan.maint_after[d]:
-            nxt = plan.order[(d + 1) % n]
+            nxt = ids[(d + 1) % n]
             if matrices.theta[tid - 1, nxt - 1] != 1:
                 v.append(
                     Violation("EQ10", f"maintenance between {tid} and {nxt} is not at the depot", d + 1)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from emu_roster import (
     ConstructorState,
     InfeasibleError,
     ModelParams,
+    SwarmConfig,
     TimetableInstance,
     TimetableWarning,
     Train,
@@ -13,6 +16,8 @@ from emu_roster import (
     construct,
     construct_with_stats,
     generate_instance,
+    render_plan,
+    solve,
     step_candidates,
     validate,
 )
@@ -175,3 +180,37 @@ def test_scales_with_eager_maintenance():
     plan, failed = construct_with_stats(inst, m, rng, maint_prob=0.9)
     assert validate(plan, inst, m).ok
     assert failed < 20
+
+
+def _plan_sha(plan, inst, m):
+    return hashlib.sha256(render_plan(plan, inst, m).encode()).hexdigest()
+
+
+# SHA-256 of render_plan output for fixed seeds. Any change to the order or
+# number of random draws in construction or decoding changes these plans.
+GOLDEN_CONSTRUCT = {
+    # (n_pairs, turnback stations, instance seed, rng seed, kwargs): sha
+    (4, 2, 3, 5, ()): "81b7e5bc8abfca46ac1ae257db9e65a1b575cb5195775b379b00e4f890639647",
+    (50, 4, 1, 2, (("maint_prob", 0.9), ("max_restarts", 1000))):
+        "3efdb9a80a8f3078f49636c5e03dbc18ad296c37a30aa75193b84bf762deccbe",
+    (250, 8, 1, 2, (("maint_prob", 0.9), ("max_restarts", 1000))):
+        "d32b232d2dda1fec0ac84caa93686b27d09f9ce77e57df5f54818e0fc66da517",
+}
+GOLDEN_SOLVE = "2a35d0a078af82554c1a7141c2fa9ce18f0abbe6e1341e15fd1a3a92b4a7d081"
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CONSTRUCT), ids=lambda c: f"n{2 * c[0]}")
+def test_golden_constructed_plans(case):
+    pairs, turnbacks, inst_seed, rng_seed, kwargs = case
+    inst = generate_instance(pairs, turnbacks, seed=inst_seed)
+    m = build_matrices(inst)
+    plan = construct(inst, m, np.random.default_rng(rng_seed), **dict(kwargs))
+    assert _plan_sha(plan, inst, m) == GOLDEN_CONSTRUCT[case]
+
+
+def test_golden_solved_plan():
+    inst = generate_instance(4, 2, seed=3)
+    m = build_matrices(inst)
+    res = solve(inst, m, SwarmConfig(n_particles=10, k_max=20, seed=4))
+    assert _plan_sha(res.best_plan, inst, m) == GOLDEN_SOLVE
+    assert res.restarts == 82

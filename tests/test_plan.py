@@ -111,6 +111,19 @@ def test_fig1_plan_is_valid(fig1, fig1_matrices, fig1_plan):
     assert validate(fig1_plan, fig1, fig1_matrices).ok
 
 
+def test_numpy_integer_ids_are_valid(fig1, fig1_matrices, fig1_plan):
+    # swarm positions are int64 arrays; their entries are train ids too
+    plan = CirculationPlan(order=tuple(np.array(fig1_plan.order, dtype=np.int64)),
+                           maint_after=fig1_plan.maint_after)
+    assert validate(plan, fig1, fig1_matrices).ok
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_non_integer_ids_are_shape(fig1, fig1_matrices, fig1_plan, bad):
+    plan = CirculationPlan(order=(bad,) + fig1_plan.order[1:], maint_after=fig1_plan.maint_after)
+    assert "SHAPE" in validate(plan, fig1, fig1_matrices).tags()
+
+
 def test_duplicate_train_is_degree_violation(fig1, fig1_matrices):
     plan = CirculationPlan(order=(1, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
                            maint_after=(0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1))

@@ -14,23 +14,19 @@ from .connection import (
     maintenance_eligible,
 )
 from .constructor import (
-    ConstructorState,
     InfeasibleError,
     construct,
     construct_with_stats,
-    step_candidates,
 )
 from .diagram import render_dot
 from .oracle import GapReport, InstanceTooLargeError, OracleResult, brute_force, compare
 from .plan import (
-    AccumState,
     CirculationPlan,
     InvalidPlanError,
     PlanFormatError,
     Rotation,
     ValidationReport,
     Violation,
-    accumulate,
     decode_rotations,
     fitness_value,
     objective_value,
@@ -63,10 +59,8 @@ from .timetable import (
 
 __all__ = [
     "INFEASIBLE",
-    "AccumState",
     "CirculationPlan",
     "ConnectionMatrices",
-    "ConstructorState",
     "DEFAULT_SEED",
     "GapReport",
     "InfeasibleError",
@@ -85,7 +79,6 @@ __all__ = [
     "Train",
     "ValidationReport",
     "Violation",
-    "accumulate",
     "brute_force",
     "build_matrices",
     "compare",
@@ -106,7 +99,6 @@ __all__ = [
     "render_plan",
     "render_timetable",
     "solve",
-    "step_candidates",
     "update_position",
     "update_velocity",
     "validate",

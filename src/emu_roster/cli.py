@@ -4,8 +4,9 @@ Subcommands: solve (swarm search, writes plan + fitness trace), validate
 (check a plan file against its timetable), compare (exact enumeration vs
 swarm on small instances), gen (synthetic paired timetables), diagram (DOT
 graph of a plan). Exit codes: 0 ok, 1 input or usage error, 2 infeasible
-instance, 3 validation failures. All randomness flows from --seed, which
-defaults to a fixed constant, so identical invocations give identical bytes.
+instance, 3 validation failures. All randomness flows from the swarm seed
+(--seed, else the config file's seed=, else a fixed constant), so identical
+invocations give identical bytes.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from .plan import (
 )
 from .pso import DEFAULT_SEED, SolveResult, SwarmConfig, solve
 from .timetable import (
+    PARAM_KEYS,
     TimetableError,
     generate_instance,
     parse_timetable,
     render_timetable,
 )
 
-_MODEL_KEYS = {"l_cycle", "t_cycle", "lambda", "t_connect", "omega1", "omega2", "beta"}
+_MODEL_KEYS = set(PARAM_KEYS)
 _SWARM_KEYS = {f.name for f in fields(SwarmConfig)}
 _EXTRA_KEYS = {"maint_prob", "max_restarts"}
 
@@ -79,29 +81,27 @@ def _parse_config_file(path: str) -> dict[str, float]:
     return values
 
 
-def _load_instance(args):
-    instance = parse_timetable(_read(args.timetable))
-    cfgfile = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+def _with_model_overrides(instance, args):
+    """Apply model parameters from --config, then from the flags, which win.
 
+    Returns the instance and the parsed config file."""
+    cfgfile = _parse_config_file(args.config) if args.config else {}
     overrides = {}
-    for key in _MODEL_KEYS:
-        if key in cfgfile:
-            overrides["lam" if key == "lambda" else key] = cfgfile[key]
-    for attr, key in (
-        ("lam", "lambda"),
-        ("omega1", "omega1"),
-        ("omega2", "omega2"),
-        ("beta", "beta"),
-        ("t_connect", "t_connect"),
-    ):
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            overrides[attr] = flag
+    for key in PARAM_KEYS:
+        value = getattr(args, key, None)  # l_cycle and t_cycle have no flag
+        if value is None:
+            value = cfgfile.get(key)
+        if value is not None:
+            overrides["lam" if key == "lambda" else key] = value
     if "t_connect" in overrides:
         overrides["t_connect"] = int(overrides["t_connect"])
     if overrides:
         instance = instance.with_params(**overrides)
     return instance, cfgfile
+
+
+def _load_instance(args):
+    return _with_model_overrides(parse_timetable(_read(args.timetable)), args)
 
 
 def _swarm_config(args, cfgfile: dict[str, float]) -> tuple[SwarmConfig, float, int]:
@@ -206,21 +206,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    instance = generate_instance(args.pairs, args.turnbacks, args.seed)
-    cfgfile = _parse_config_file(args.config) if args.config else {}
-    overrides = {}
-    for key in _MODEL_KEYS:
-        if key in cfgfile:
-            overrides["lam" if key == "lambda" else key] = cfgfile[key]
-    for attr, key in (("lam", "lambda"), ("omega1", "omega1"), ("omega2", "omega2"),
-                      ("beta", "beta"), ("t_connect", "t_connect")):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            overrides[attr] = flag
-    if "t_connect" in overrides:
-        overrides["t_connect"] = int(overrides["t_connect"])
-    if overrides:
-        instance = instance.with_params(**overrides)
+    instance, _ = _with_model_overrides(
+        generate_instance(args.pairs, args.turnbacks, args.seed), args
+    )
     text = render_timetable(instance)
     if args.out:
         _write(args.out, text)
@@ -255,7 +243,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_swarm_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, help=f"swarm seed (default {DEFAULT_SEED})")
     p.add_argument("--particles", type=int, help="swarm size")
     p.add_argument("--iters", type=int, help="iteration count")
     p.add_argument("--maint-prob", dest="maint_prob", type=float,

@@ -10,6 +10,7 @@ carry a maintenance arc.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,19 +85,16 @@ class ConnectionMatrices:
             raise ValueError("which must be 'conn' or 'theta'")
         return "\n".join(rows) + "\n"
 
+    @cached_property
     def conn_rows(self) -> list[list[int | None]]:
-        """Connection times as plain nested lists (None = infeasible), cached.
+        """Connection times as plain nested lists (None = infeasible).
 
         Scalar lookups in the constructive inner loop are several times
-        faster on lists than on the ndarray.
+        faster on lists than on the ndarray. Built on first use rather than
+        in build_matrices, so matrices that nothing walks do not hold n x n
+        Python ints.
         """
-        cached = getattr(self, "_conn_rows", None)
-        if cached is None:
-            cached = [
-                [None if v != v else int(v) for v in row] for row in self.conn_time.tolist()
-            ]
-            object.__setattr__(self, "_conn_rows", cached)
-        return cached
+        return [[None if v != v else int(v) for v in row] for row in self.conn_time.tolist()]
 
 
 def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:

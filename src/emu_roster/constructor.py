@@ -19,12 +19,11 @@ step and repaired by the normal step logic otherwise.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .connection import ConnectionMatrices
-from .plan import AccumState, CirculationPlan
+from .plan import CirculationPlan
 from .timetable import TimetableInstance
 
 
@@ -34,22 +33,6 @@ class InfeasibleError(RuntimeError):
 
 class DeadEnd(Exception):
     """Internal: the current attempt painted itself into a corner."""
-
-
-@dataclass
-class ConstructorState:
-    """Snapshot of one construction attempt's bookkeeping."""
-
-    remaining: set[int]
-    depot_departures: set[int]  # remaining trains that depart the depot station
-    position: int
-    accum: AccumState
-    partial: list[int] = field(default_factory=list)
-    maint_flags: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.depot_departures <= self.remaining:
-            raise ValueError("depot departures must be a subset of the remaining trains")
 
 
 def _candidates(
@@ -81,36 +64,6 @@ def _candidates(
     return away, to_depot, usable
 
 
-def step_candidates(
-    state: ConstructorState, instance: TimetableInstance, matrices: ConnectionMatrices
-) -> tuple[list[int], list[int]]:
-    """Candidate successors when the chain sits away from the depot.
-
-    First list: connectable trains that keep the EMU away from the depot and
-    respect both cycle limits after the connection. Second list: connectable
-    trains heading to the depot, deliberately unfiltered; the depot step
-    afterwards can force maintenance.
-    """
-    depot = instance.maint_stations
-    arr_at_depot = [False] + [t.arr_station in depot for t in instance.trains]
-    mileage = [0.0] + [t.mileage for t in instance.trains]
-    travel = [0] + [t.travel_time for t in instance.trains]
-    prev = state.partial[-1]
-    here = matrices.departures[instance.train(prev).arr_station]
-    away, to_depot, _ = _candidates(
-        [j for j in here if j in state.remaining],
-        state.accum.mileage,
-        state.accum.time,
-        arr_at_depot,
-        mileage,
-        travel,
-        matrices.conn_rows()[prev - 1],
-        instance.params.max_mileage,
-        instance.params.max_time,
-    )
-    return away, to_depot
-
-
 def _pick(candidates: list[int], rng: np.random.Generator) -> int:
     return candidates[int(rng.random() * len(candidates))]
 
@@ -140,7 +93,7 @@ def build_cycle(
     mileage = [0.0] + [t.mileage for t in trains]
     travel = [0] + [t.travel_time for t in trains]
     arr_at_depot = [False] + [t.arr_station == depot for t in trains]
-    conn_rows = matrices.conn_rows()
+    conn_rows = matrices.conn_rows
 
     for t in trains:
         if t.mileage > max_l or t.travel_time > max_t:

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 
 from .connection import ConnectionMatrices
-from .timetable import TimetableInstance, Train
+from .timetable import TimetableInstance
 
 
 class InvalidPlanError(ValueError):
@@ -50,29 +50,31 @@ class CirculationPlan:
         return sum(self.maint_after)
 
 
-@dataclass(frozen=True)
-class AccumState:
-    """Mileage (km) and elapsed time (min) racked up since the last maintenance."""
+def _walk(order, maint_after, instance: TimetableInstance, matrices: ConnectionMatrices):
+    """Running totals along the loop, the one place they are computed.
 
-    mileage: float
-    time: int
-
-
-def accumulate(
-    prev: AccumState, conn_minutes: int, next_train: Train, maintenance_before: int
-) -> AccumState:
-    """Advance the running totals across one arc onto next_train.
-
-    A maintenance arc resets both counters to the new train's own mileage and
-    travel time; an ordinary connection adds mileage, waiting time, and travel
-    time on top of the previous state.
+    Yields (index, train id, wait before it, km, min) per position, where km
+    and min are the mileage and time racked up since the last maintenance.
+    Position 1 and every position after a maintenance arc start at the
+    train's own totals with a wait of 0; an ordinary arc adds its waiting
+    minutes and the train's travel time. The wait is None on an arc that
+    cannot connect, and the totals then carry on as if it were 0.
     """
-    if maintenance_before:
-        return AccumState(next_train.mileage, next_train.travel_time)
-    return AccumState(
-        prev.mileage + next_train.mileage,
-        prev.time + conn_minutes + next_train.travel_time,
-    )
+    conn_rows = matrices.conn_rows
+    trains = instance.trains
+    km = mins = prev = 0
+    fresh = True  # position 1, or the arc into this position is a maintenance arc
+    for d, tid in enumerate(order):
+        train = trains[tid - 1]
+        if fresh:
+            wait = 0
+            km, mins = train.mileage, train.travel_time
+        else:
+            wait = conn_rows[prev - 1][tid - 1]
+            km += train.mileage
+            mins += (wait or 0) + train.travel_time
+        yield d, tid, wait, km, mins
+        prev, fresh = tid, maint_after[d]
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,7 @@ class Rotation:
     trains: tuple[int, ...]
     total_mileage: float
     total_time: int
+    connection_time: int  # minutes waited between its trains
 
 
 def decode_rotations(
@@ -93,35 +96,26 @@ def decode_rotations(
     maintenance flag set, all internal arcs connectable); raises
     InvalidPlanError otherwise. Concatenating the result reproduces `order`.
     """
-    if not plan.maint_after or plan.maint_after[-1] != 1:
+    order, flags = plan.order, plan.maint_after
+    if not flags or flags[-1] != 1:
         raise InvalidPlanError("cycle does not close with a maintenance arc")
-    if len(plan.order) != len(plan.maint_after):
+    if len(order) != len(flags):
         raise InvalidPlanError("order and maint_after lengths differ")
-    for tid in plan.order:
+    for tid in order:
         if not 1 <= tid <= instance.n:
             raise InvalidPlanError(f"train id {tid!r} outside 1..{instance.n}")
 
-    conn_rows = matrices.conn_rows()
-    trains = instance.trains
     rotations: list[Rotation] = []
-    segment: list[int] = []
-    acc_l, acc_t = 0.0, 0
-    for d, tid in enumerate(plan.order):
-        train = trains[tid - 1]
-        if not segment:
-            acc_l, acc_t = train.mileage, train.travel_time
-        else:
-            conn = conn_rows[segment[-1] - 1][tid - 1]
-            if conn is None:
-                raise InvalidPlanError(
-                    f"trains {segment[-1]} and {tid} cannot connect (position {d + 1})"
-                )
-            acc_l += train.mileage
-            acc_t += conn + train.travel_time
-        segment.append(tid)
-        if plan.maint_after[d]:
-            rotations.append(Rotation(tuple(segment), acc_l, acc_t))
-            segment = []
+    start = waited = 0
+    for d, tid, wait, km, mins in _walk(order, flags, instance, matrices):
+        if wait is None:
+            raise InvalidPlanError(
+                f"trains {order[d - 1]} and {tid} cannot connect (position {d + 1})"
+            )
+        waited += wait
+        if flags[d]:
+            rotations.append(Rotation(tuple(order[start : d + 1]), km, mins, waited))
+            start, waited = d + 1, 0
     return rotations
 
 
@@ -216,29 +210,13 @@ def validate(
         return ValidationReport(tuple(v))
 
     max_l, max_t = instance.params.max_mileage, instance.params.max_time
-    state = AccumState(0.0, 0)
-    for d, tid in enumerate(ids):
-        train = instance.train(tid)
-        maint_before = 1 if d == 0 else plan.maint_after[d - 1]
-        if maint_before:
-            state = accumulate(state, 0, train, 1)
-        else:
-            prev = ids[d - 1]
-            conn = matrices.conn_time[prev - 1, tid - 1]
-            if conn != conn:  # NaN: not connectable
-                v.append(
-                    Violation("CONN", f"trains {prev} and {tid} cannot connect", d + 1)
-                )
-                conn = 0.0
-            state = accumulate(state, int(conn), train, 0)
-        if state.mileage > max_l:
-            v.append(
-                Violation("EQ11", f"{state.mileage:.1f} km since maintenance exceeds {max_l:.1f}", d + 1)
-            )
-        if state.time > max_t:
-            v.append(
-                Violation("EQ12", f"{state.time} min since maintenance exceeds {max_t:.0f}", d + 1)
-            )
+    for d, tid, wait, km, mins in _walk(ids, plan.maint_after, instance, matrices):
+        if wait is None:
+            v.append(Violation("CONN", f"trains {ids[d - 1]} and {tid} cannot connect", d + 1))
+        if km > max_l:
+            v.append(Violation("EQ11", f"{km:.1f} km since maintenance exceeds {max_l:.1f}", d + 1))
+        if mins > max_t:
+            v.append(Violation("EQ12", f"{mins} min since maintenance exceeds {max_t:.0f}", d + 1))
         if plan.maint_after[d]:
             nxt = ids[(d + 1) % n]
             if matrices.theta[tid - 1, nxt - 1] != 1:
@@ -246,26 +224,6 @@ def validate(
                     Violation("EQ10", f"maintenance between {tid} and {nxt} is not at the depot", d + 1)
                 )
     return ValidationReport(tuple(v))
-
-
-def _connection_total(
-    plan: CirculationPlan, matrices: ConnectionMatrices
-) -> int:
-    """Sum of waiting minutes over ordinary (non-maintenance) arcs."""
-    n = plan.n
-    conn_rows = matrices.conn_rows()
-    total = 0
-    for d in range(n):
-        if plan.maint_after[d]:
-            continue
-        i, j = plan.order[d], plan.order[(d + 1) % n]
-        if not (1 <= i <= matrices.n and 1 <= j <= matrices.n):
-            raise InvalidPlanError(f"train id outside 1..{matrices.n} on arc {i} -> {j}")
-        conn = conn_rows[i - 1][j - 1]
-        if conn is None:
-            raise InvalidPlanError(f"trains {i} and {j} cannot connect")
-        total += conn
-    return total
 
 
 def objective_value(
@@ -283,16 +241,12 @@ def objective_value(
         raise InvalidPlanError(
             f"plan violates {len(report.violations)} constraint(s): {sorted(report.tags())}"
         )
-    return fitness_from_parts(
-        _connection_total(plan, matrices),
-        decode_rotations(plan, instance, matrices),
-        instance.params,
-    )
+    return fitness_from_parts(decode_rotations(plan, instance, matrices), instance.params)
 
 
-def fitness_from_parts(connection_total: int, rotations, params) -> float:
-    """Penalized score from precomputed pieces (see fitness_value)."""
-    total = float(params.omega1 * connection_total)
+def fitness_from_parts(rotations, params) -> float:
+    """Penalized score of decoded rotations (see fitness_value)."""
+    total = float(params.omega1 * sum(r.connection_time for r in rotations))
     for r in rotations:
         if r.total_mileage > params.max_mileage:
             total += params.omega2 * params.beta * (r.total_mileage - params.max_mileage)
@@ -311,11 +265,7 @@ def fitness_value(
     whenever every rotation respects the allowance. Requires structural
     soundness only (the mileage bound may be broken).
     """
-    return fitness_from_parts(
-        _connection_total(plan, matrices),
-        decode_rotations(plan, instance, matrices),
-        instance.params,
-    )
+    return fitness_from_parts(decode_rotations(plan, instance, matrices), instance.params)
 
 
 @dataclass(frozen=True)
@@ -334,16 +284,17 @@ def plan_summary(
     plan: CirculationPlan, instance: TimetableInstance, matrices: ConnectionMatrices
 ) -> PlanSummary:
     rotations = decode_rotations(plan, instance, matrices)
-    report = validate(plan, instance, matrices)
+    fitness = fitness_from_parts(rotations, instance.params)
     return PlanSummary(
         n_rotations=len(rotations),
-        total_connection_time=_connection_total(plan, matrices),
+        total_connection_time=sum(r.connection_time for r in rotations),
         min_rotation_mileage=min(r.total_mileage for r in rotations),
         max_rotation_mileage=max(r.total_mileage for r in rotations),
         min_rotation_time=min(r.total_time for r in rotations),
         max_rotation_time=max(r.total_time for r in rotations),
-        fitness=fitness_value(plan, instance, matrices),
-        objective=objective_value(plan, instance, matrices) if report.ok else None,
+        fitness=fitness,
+        # on a valid plan the fitness is the objective (objective_value)
+        objective=fitness if validate(plan, instance, matrices).ok else None,
     )
 
 
@@ -355,15 +306,10 @@ def render_plan(
     """
     rotations = decode_rotations(plan, instance, matrices)
     lines = ["cycle"]
-    state = AccumState(0.0, 0)
-    for d, tid in enumerate(plan.order):
-        train = instance.train(tid)
-        maint_before = 1 if d == 0 else plan.maint_after[d - 1]
-        conn = 0 if maint_before else matrices.time(plan.order[d - 1] - 1, tid - 1)
-        state = accumulate(state, conn, train, maint_before)
+    for d, tid, _, km, mins in _walk(plan.order, plan.maint_after, instance, matrices):
         lines.append(
             f"pos {d + 1} train {tid} maint {plan.maint_after[d]} "
-            f"accum_km {state.mileage:.1f} accum_min {state.time}"
+            f"accum_km {km:.1f} accum_min {mins}"
         )
     lines.append(f"rotations {len(rotations)}")
     for r, rot in enumerate(rotations, start=1):

@@ -15,7 +15,6 @@ evaluated concurrently without affecting results.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -23,12 +22,7 @@ import numpy as np
 
 from .connection import ConnectionMatrices, build_matrices
 from .constructor import DeadEnd, build_cycle, construct_with_stats
-from .plan import (
-    CirculationPlan,
-    _connection_total,
-    decode_rotations,
-    fitness_from_parts,
-)
+from .plan import CirculationPlan, decode_rotations, fitness_from_parts
 from .timetable import TimetableInstance
 
 DEFAULT_SEED = 1
@@ -60,32 +54,25 @@ def inertia_weight(k: int, cfg: SwarmConfig) -> float:
     return cfg.w_max - (cfg.w_max - cfg.w_min) * k / cfg.k_max
 
 
-def update_velocity(
-    v: float,
-    x: float,
-    p_g_d: float,
-    p_m_d: float,
-    w: float,
-    c1: float,
-    c2: float,
-    r1: float,
-    r2: float,
-    v_min: float,
-    v_max: float,
-) -> float:
+def update_velocity(v, x, p_g_d, p_m_d, w: float, c1: float, c2: float, r1, r2,
+                    v_min: float, v_max: float):
     """Inertia-weighted velocity step, clamped to [v_min, v_max].
 
-    c1 weighs the global best and c2 the personal best (with equal defaults
-    the distinction is moot).
+    Works per dimension on scalars or elementwise on arrays of one particle's
+    dimensions. c1 weighs the global best and c2 the personal best (with
+    equal defaults the distinction is moot).
     """
-    return min(max(w * v + c1 * r1 * (p_g_d - x) + c2 * r2 * (p_m_d - x), v_min), v_max)
+    return np.clip(w * v + c1 * r1 * (p_g_d - x) + c2 * r2 * (p_m_d - x), v_min, v_max)
 
 
-def update_position(x: int, v_new: float, n: int) -> int:
-    """Move by v_new, round half away from zero, clamp into [1, n]."""
+def update_position(x, v_new, n: int):
+    """Move by v_new, round half away from zero, clamp into [1, n].
+
+    Scalars or arrays; the result is int64.
+    """
     y = x + v_new
-    rounded = math.floor(y + 0.5) if y >= 0 else math.ceil(y - 0.5)
-    return min(max(rounded, 1), n)
+    rounded = np.where(y >= 0, np.floor(y + 0.5), np.ceil(y - 0.5))
+    return np.clip(rounded, 1, n).astype(np.int64)
 
 
 def _philox_key(seed: int) -> np.ndarray:
@@ -169,9 +156,8 @@ def solve(
 
     def evaluate(plan: CirculationPlan) -> tuple[float, bool]:
         rotations = decode_rotations(plan, instance, matrices)
-        fit = fitness_from_parts(_connection_total(plan, matrices), rotations, params)
         feasible = all(r.total_mileage <= max_l for r in rotations)
-        return fit, feasible
+        return fitness_from_parts(rotations, params), feasible
 
     n_p = cfg.n_particles
     positions = np.zeros((n_p, n), dtype=np.int64)
@@ -209,15 +195,9 @@ def solve(
         for m in range(n_p):
             rng = substream(key, k, m)
             r = rng.random(2 * n)
-            vel = (
-                w * velocities[m]
-                + cfg.c1 * r[:n] * (gbest_pos - positions[m])
-                + cfg.c2 * r[n:] * (pbest_pos[m] - positions[m])
-            )
-            np.clip(vel, v_min, v_max, out=vel)
-            moved = positions[m] + vel
-            proposed = np.where(moved >= 0, np.floor(moved + 0.5), np.ceil(moved - 0.5))
-            proposed = np.clip(proposed, 1, n).astype(np.int64)
+            vel = update_velocity(velocities[m], positions[m], gbest_pos, pbest_pos[m], w,
+                                  cfg.c1, cfg.c2, r[:n], r[n:], v_min, v_max)
+            proposed = update_position(positions[m], vel, n)
 
             plan, failed = _decode_counting(
                 proposed, instance, matrices, rng, maint_prob, max_restarts

@@ -13,10 +13,8 @@ import pytest
 from naive_oracle import naive_best
 
 from emu_roster import (
-    AccumState,
     SwarmConfig,
     Train,
-    accumulate,
     brute_force,
     build_matrices,
     construct,
@@ -124,14 +122,16 @@ def test_maintenance_cycle_conformance(swarm_suite):
         max_l = 1.05 * 4000.0
         max_t = 1.05 * 2880.0
         assert inst.params.max_mileage == max_l and inst.params.max_time == max_t
-        state = AccumState(0.0, 0)
+        km = mins = 0
         for d, tid in enumerate(plan.order):
             train = inst.train(tid)
-            maint_before = 1 if d == 0 else plan.maint_after[d - 1]
-            conn = 0 if maint_before else matrices.time(plan.order[d - 1] - 1, tid - 1)
-            state = accumulate(state, conn, train, maint_before)
-            violations += state.mileage > max_l
-            violations += state.time > max_t
+            if d == 0 or plan.maint_after[d - 1]:
+                km, mins = train.mileage, train.travel_time
+            else:
+                km += train.mileage
+                mins += matrices.time(plan.order[d - 1] - 1, tid - 1) + train.travel_time
+            violations += km > max_l
+            violations += mins > max_t
     print(f"\n  accumulation violations across 50 plans: {violations}")
     assert violations == 0
 
@@ -149,10 +149,20 @@ def test_formula_unit_values():
     assert connection_time(vi, tight, 20) == 1450
     assert connection_time(vi, away, 20) is None
 
-    # accumulation reset and addition
-    train = Train(5, "C", 0, "X", 120, 500.0, 120)
-    assert accumulate(AccumState(3800.0, 2500), 40, train, 1) == AccumState(500.0, 120)
-    assert accumulate(AccumState(1000.0, 300), 40, train, 0) == AccumState(1500.0, 460)
+    # accumulation: a maintenance arc resets, an ordinary arc adds wait + travel
+    from emu_roster import CirculationPlan, ModelParams, TimetableInstance
+
+    pair = TimetableInstance(
+        trains=(vi, Train(2, "A", 10 * 60 + 40, "B", 12 * 60, 500.0, 80)),
+        stations=frozenset({"A", "B"}),
+        maint_stations=frozenset({"B"}),
+        params=ModelParams(),
+    )
+    pair_m = build_matrices(pair)
+    ordinary = decode_rotations(CirculationPlan((1, 2), (0, 1)), pair, pair_m)
+    assert [(r.total_mileage, r.total_time) for r in ordinary] == [(600.0, 240)]
+    reset = decode_rotations(CirculationPlan((1, 2), (1, 1)), pair, pair_m)
+    assert [(r.total_mileage, r.total_time) for r in reset] == [(100.0, 120), (500.0, 80)]
 
     # inertia endpoints
     cfg = SwarmConfig(w_max=0.9, w_min=0.4, k_max=100)
@@ -168,8 +178,6 @@ def test_formula_unit_values():
     assert update_velocity(1.0, 4, 5, 3, 0.8, 2, 2, 0.5, 0.5, -10, 10) == 0.8
 
     # a rotation exactly at the mileage allowance adds nothing to the fitness
-    from emu_roster import CirculationPlan, ModelParams, TimetableInstance
-
     boundary = TimetableInstance(
         trains=(
             Train(1, "C", 8 * 60, "X", 10 * 60, 2100.0, 120),

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -251,6 +252,25 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
     assert len(trace) == 9  # header + init + 7 iterations
 
 
+def test_config_file_seed_is_used_and_flag_wins(tmp_path, capsys):
+    cfgf = tmp_path / "solver.cfg"
+    cfgf.write_text("seed=7\nn_particles=4\nk_max=6\n")
+
+    def solve_bytes(name, *extra):
+        plan_path = tmp_path / name
+        code, out, _ = run(capsys, "solve", FIG1, "--out", str(plan_path), *extra)
+        assert code == 0
+        return out, plan_path.read_bytes(), (tmp_path / f"{name}.trace.csv").read_bytes()
+
+    from_file = solve_bytes("file.txt", "--config", str(cfgf))
+    from_flag = solve_bytes("flag.txt", "--particles", "4", "--iters", "6", "--seed", "7")
+    assert from_file == from_flag
+    flag_wins = solve_bytes("both.txt", "--config", str(cfgf), "--seed", "3")
+    flag_only = solve_bytes("three.txt", "--particles", "4", "--iters", "6", "--seed", "3")
+    assert flag_wins == flag_only
+    assert flag_wins != from_file
+
+
 def test_explicit_trace_path_and_constructor_knobs(tmp_path, capsys):
     plan_path = tmp_path / "plan.txt"
     trace_path = tmp_path / "fitness.csv"
@@ -273,3 +293,33 @@ def test_model_param_flags_reach_solver(tmp_path, capsys):
     assert code == 0
     values = dict(line.split(" ", 1) for line in out.splitlines())
     assert float(values["objective"]) == float(values["connection_minutes"])
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# SHA-256 of the bytes of a default fig1 solve and of validate/diagram on its plan
+GOLDEN_FIG1 = {
+    "plan": "0f4f3c94ef54e517031bf7fb89c6787888b9cdac9653faa59215188266db2f31",
+    "solve_stdout": "a7b6dea20ba6fc53290b73c46da5996d52d096def9b681bc46a5915f86c023a6",
+    "trace": "404d24e61d5e89c4478d12f2be9bc93e0996a70df4a4de64f06bcf1c47021647",
+    "validate_stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "diagram": "72d78f5459ff2f079c4624eec6ae67f5804dad4e825fd697db68f71a5dabdca1",
+}
+
+
+def test_golden_fig1_cli_bytes(tmp_path, capsys):
+    plan_path = tmp_path / "plan.txt"
+    code, solve_out, _ = run(capsys, "solve", FIG1, "--out", str(plan_path))
+    assert code == 0
+    code_v, validate_out, _ = run(capsys, "validate", FIG1, str(plan_path))
+    code_d, diagram_out, _ = run(capsys, "diagram", FIG1, str(plan_path))
+    assert (code_v, code_d) == (0, 0)
+    assert {
+        "plan": _sha(plan_path.read_bytes()),
+        "solve_stdout": _sha(solve_out.encode()),
+        "trace": _sha((tmp_path / "plan.txt.trace.csv").read_bytes()),
+        "validate_stdout": _sha(validate_out.encode()),
+        "diagram": _sha(diagram_out.encode()),
+    } == GOLDEN_FIG1

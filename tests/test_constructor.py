@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from emu_roster import (
-    AccumState,
-    ConstructorState,
     InfeasibleError,
     ModelParams,
     SwarmConfig,
@@ -18,9 +16,9 @@ from emu_roster import (
     generate_instance,
     render_plan,
     solve,
-    step_candidates,
     validate,
 )
+from emu_roster.constructor import _candidates
 
 
 def tricky_instance():
@@ -110,56 +108,50 @@ def test_restart_rate_stays_low():
     assert total_failed / total_built < 5
 
 
-def _state_at(fig1, prev_train_id, remaining, accum):
-    depot = fig1.maint_stations
-    return ConstructorState(
-        remaining=set(remaining),
-        depot_departures={j for j in remaining if fig1.train(j).dep_station in depot},
-        position=fig1.n - len(remaining) + 1,
-        accum=accum,
-        partial=[prev_train_id],
-        maint_flags=[0],
+def _step_after_train_1(fig1, fig1_matrices, remaining, acc_l, acc_t):
+    """_candidates as build_cycle calls it with train 1 last placed and only
+    `remaining` unassigned: (away, to_depot, usable)."""
+    depot = fig1.maint_station
+    here = fig1_matrices.departures[fig1.train(1).arr_station]
+    return _candidates(
+        [j for j in here if j in remaining],
+        acc_l,
+        acc_t,
+        [False] + [t.arr_station == depot for t in fig1.trains],
+        [0.0] + [t.mileage for t in fig1.trains],
+        [0] + [t.travel_time for t in fig1.trains],
+        fig1_matrices.conn_rows[0],
+        fig1.params.max_mileage,
+        fig1.params.max_time,
     )
 
 
 def test_step_candidates_split(fig1, fig1_matrices):
     # at A after train 1; train 2 heads to B (turn-back), train 4 to C (depot)
-    state = _state_at(fig1, 1, {2, 4}, AccumState(520.0, 125))
-    away, to_depot = step_candidates(state, fig1, fig1_matrices)
+    away, to_depot, usable = _step_after_train_1(fig1, fig1_matrices, {2, 4}, 520.0, 125)
     assert away == [2]
     assert to_depot == [4]
+    assert usable == [4]
 
 
 def test_step_candidates_mileage_filter(fig1, fig1_matrices):
     # near the allowance: 4100 + 280 > 4200 pushes train 2 out of the first set
-    state = _state_at(fig1, 1, {2, 4}, AccumState(4100.0, 500))
-    away, to_depot = step_candidates(state, fig1, fig1_matrices)
+    away, to_depot, _ = _step_after_train_1(fig1, fig1_matrices, {2, 4}, 4100.0, 500)
     assert away == []
     assert to_depot == [4]
 
 
 def test_step_candidates_time_filter(fig1, fig1_matrices):
     # 2900 accumulated minutes + 35 connection + 100 travel > 3024
-    state = _state_at(fig1, 1, {2, 4}, AccumState(520.0, 2900))
-    away, to_depot = step_candidates(state, fig1, fig1_matrices)
+    away, to_depot, usable = _step_after_train_1(fig1, fig1_matrices, {2, 4}, 520.0, 2900)
     assert away == []
     assert to_depot == [4]
+    assert usable == []
 
 
 def test_step_candidates_nothing_connects(fig1, fig1_matrices):
     # train 5 departs C, not A: unreachable after train 1
-    state = _state_at(fig1, 1, {5}, AccumState(520.0, 125))
-    assert step_candidates(state, fig1, fig1_matrices) == ([], [])
-
-
-def test_state_rejects_inconsistent_bookkeeping():
-    with pytest.raises(ValueError, match="subset"):
-        ConstructorState(
-            remaining={2, 3},
-            depot_departures={1},
-            position=2,
-            accum=AccumState(0.0, 0),
-        )
+    assert _step_after_train_1(fig1, fig1_matrices, {5}, 520.0, 125) == ([], [], [])
 
 
 def test_constructed_plans_cover_multiple_shapes(fig1, fig1_matrices):

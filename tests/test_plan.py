@@ -1,14 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from emu_roster import (
-    AccumState,
     CirculationPlan,
     InvalidPlanError,
     ModelParams,
     TimetableInstance,
     Train,
-    accumulate,
     build_matrices,
     construct,
     decode_rotations,
@@ -38,23 +38,44 @@ PAIR_PLAN = CirculationPlan(order=(1, 2), maint_after=(0, 1))
 
 
 # --- accumulation -----------------------------------------------------------
+# Train 2 arrives at the depot C where train 1 departs: the arc 2 -> 1 waits
+# 1160 min (12:40 to 08:00 the next day) unless it is a maintenance arc.
+
+def _accum(plan, inst):
+    """(accum_km, accum_min) per position, as render_plan prints them."""
+    lines = render_plan(plan, inst, build_matrices(inst)).splitlines()
+    return [(float(ln.split()[7]), int(ln.split()[9])) for ln in lines if ln.startswith("pos ")]
+
 
 def test_accumulate_resets_on_maintenance():
-    train = Train(3, "C", 0, "X", 120, 500.0, 120)
-    out = accumulate(AccumState(3800.0, 2500), 40, train, 1)
-    assert (out.mileage, out.time) == (500.0, 120)
+    inst = pair_instance()
+    plan = CirculationPlan(order=(2, 1), maint_after=(1, 1))
+    assert _accum(plan, inst) == [(500.0, 120), (500.0, 120)]
+    rotations = decode_rotations(plan, inst, build_matrices(inst))
+    assert [(r.total_mileage, r.total_time, r.connection_time) for r in rotations] == [
+        (500.0, 120, 0),
+        (500.0, 120, 0),
+    ]
 
 
 def test_accumulate_adds_connection_and_travel():
-    train = Train(3, "C", 0, "X", 120, 500.0, 120)
-    out = accumulate(AccumState(1000.0, 300), 40, train, 0)
-    assert (out.mileage, out.time) == (1500.0, 460)
+    inst = pair_instance()
+    plan = CirculationPlan(order=(2, 1), maint_after=(0, 1))
+    assert _accum(plan, inst) == [(500.0, 120), (1000.0, 120 + 1160 + 120)]
+    (rotation,) = decode_rotations(plan, inst, build_matrices(inst))
+    assert (rotation.total_mileage, rotation.total_time, rotation.connection_time) == (
+        1000.0,
+        1400,
+        1160,
+    )
 
 
 def test_accumulate_from_zero_state():
-    train = Train(3, "C", 0, "X", 120, 500.0, 120)
-    out = accumulate(AccumState(0.0, 0), 40, train, 0)
-    assert (out.mileage, out.time) == (500.0, 160)
+    # position 1 starts at its train's own totals, whatever closes the loop
+    inst = pair_instance(conn_gap=40)
+    assert _accum(PAIR_PLAN, inst) == [(500.0, 120), (1000.0, 280)]
+    (rotation,) = decode_rotations(PAIR_PLAN, inst, build_matrices(inst))
+    assert (rotation.total_time, rotation.connection_time) == (280, 40)
 
 
 # --- rotations --------------------------------------------------------------
@@ -368,3 +389,63 @@ def test_rotation_and_fitness_helpers_reject_unknown_ids(fig1, fig1_matrices):
         fitness_value(plan, fig1, fig1_matrices)
     # the validator stays total and just reports
     assert "SHAPE" in validate(plan, fig1, fig1_matrices).tags()
+
+
+# --- golden validator text and summary -----------------------------------------
+
+def _golden_n100():
+    inst = generate_instance(50, 4, seed=1)
+    m = build_matrices(inst)
+    plan = construct(inst, m, np.random.default_rng(7), max_restarts=1000, maint_prob=0.9)
+    return inst, m, plan
+
+
+def _corrupt(plan, inst, family):
+    """Break the n = 100 golden plan so that validate reports `family`."""
+    order, flags = list(plan.order), list(plan.maint_after)
+    n = len(order)
+    train = inst.train
+    if family == "CONN":  # swap the successor of the first ordinary arc for one departing elsewhere
+        d = next(d for d in range(n - 2) if flags[d] == 0
+                 and train(order[d]).arr_station != train(order[d + 2]).dep_station)
+        order[d + 1], order[d + 2] = order[d + 2], order[d + 1]
+    elif family == "EQ8/EQ9":
+        order[10] = order[20]
+    elif family == "SHAPE":
+        flags[-1] = 0
+    elif family == "EQ10":
+        d = next(d for d in range(n) if train(order[d]).arr_station not in inst.maint_stations)
+        flags[d] = 1
+    elif family == "EQ11":  # merges two rotations past the mileage allowance
+        flags[5] = 0
+    elif family == "EQ12":  # merges two rotations past the time allowance only
+        flags[3] = 0
+    return CirculationPlan(order=tuple(order), maint_after=tuple(flags))
+
+
+# SHA-256 of the position and text of every violation, one per line
+GOLDEN_VIOLATIONS = {
+    "CONN": "80796a34bcf79e6535bd8c311b9f81b3878671a21b5d7830191cec09eb79253a",
+    "EQ8/EQ9": "25c9b2a5b90815072b3f1d9bd8814762b44fdc092d265f51a155a2911a546b21",
+    "SHAPE": "76bf8f6ebb66f6254c15378e55ab95550b7b5759f7e036d93464902fc0edbe11",
+    "EQ10": "33e072a98918e0756b6c90cfbd8cfd2e5fd9fa22b75e84db569c7b7a0c642552",
+    "EQ11": "130fb6df141ac1541f8be62f0810a37d8fd7e322962d3b08e893da4283b3dba6",
+    "EQ12": "5031ab4ad97d7b2f557fd29bbd873ce296cc67527a9c89cb05306caec341d454",
+}
+# SHA-256 of repr(plan_summary) of the clean plan: every field, floats exact
+GOLDEN_SUMMARY = "a6f3ae885051dfedb661f2ce460b8c280ade4e30ba75a7ac89463b6bc8ba995e"
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_VIOLATIONS))
+def test_golden_violation_text(family):
+    inst, m, plan = _golden_n100()
+    report = validate(_corrupt(plan, inst, family), inst, m)
+    assert family in report.tags()
+    text = "\n".join(f"{v.position} {v}" for v in report.violations)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_VIOLATIONS[family]
+
+
+def test_golden_summary():
+    inst, m, plan = _golden_n100()
+    summary = plan_summary(plan, inst, m)
+    assert hashlib.sha256(repr(summary).encode()).hexdigest() == GOLDEN_SUMMARY

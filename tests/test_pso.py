@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -84,23 +86,26 @@ def test_update_position_clamps_both_ends():
 
 
 def test_vectorized_updates_match_scalar_ops():
+    # solve() calls the updates on whole position vectors; each element must
+    # equal the plain-Python scalar formula
     rng = np.random.default_rng(2)
     cfg = SwarmConfig()
-    n = 12
-    for _ in range(200):
-        x = int(rng.integers(1, n + 1))
-        v = float(rng.uniform(-6, 6))
-        pg = int(rng.integers(1, n + 1))
-        pm = int(rng.integers(1, n + 1))
-        r1, r2 = rng.random(), rng.random()
-        w = 0.7
-        v_new = update_velocity(v, x, pg, pm, w, cfg.c1, cfg.c2, r1, r2, -6, 6)
-        # mirror of the array expressions used inside solve()
-        vel = np.clip(w * v + cfg.c1 * r1 * (pg - x) + cfg.c2 * r2 * (pm - x), -6, 6)
-        moved = x + vel
-        arr_pos = int(np.clip(np.where(moved >= 0, np.floor(moved + 0.5), np.ceil(moved - 0.5)), 1, n))
-        assert float(vel) == pytest.approx(v_new, abs=1e-12)
-        assert arr_pos == update_position(x, v_new, n)
+    n, w = 12, 0.7
+    x = rng.integers(1, n + 1, size=200)
+    v = rng.uniform(-6, 6, size=200)
+    pg = rng.integers(1, n + 1, size=200)
+    pm = rng.integers(1, n + 1, size=200)
+    r1, r2 = rng.random(200), rng.random(200)
+    vel = update_velocity(v, x, pg, pm, w, cfg.c1, cfg.c2, r1, r2, -6, 6)
+    pos = update_position(x, vel, n)
+    assert pos.dtype == np.int64
+    for d in range(200):
+        v_ref = min(max(w * v[d] + cfg.c1 * r1[d] * (pg[d] - x[d])
+                        + cfg.c2 * r2[d] * (pm[d] - x[d]), -6), 6)
+        y = x[d] + v_ref
+        rounded = math.floor(y + 0.5) if y >= 0 else math.ceil(y - 0.5)
+        assert vel[d] == v_ref
+        assert pos[d] == min(max(rounded, 1), n)
 
 
 # --- counter-based randomness --------------------------------------------------
@@ -222,12 +227,13 @@ def test_config_validation():
 
 
 def test_fitness_reduces_to_connection_time_without_slack_weight(fig1, fig1_matrices):
-    from emu_roster.plan import _connection_total
-
     inst = fig1.with_params(omega2=0.0)
     rng = np.random.default_rng(21)
     for _ in range(30):
         plan = construct(inst, fig1_matrices, rng)
-        assert fitness_value(plan, inst, fig1_matrices) == float(
-            _connection_total(plan, fig1_matrices)
+        waited = sum(
+            fig1_matrices.time(plan.order[d] - 1, plan.order[(d + 1) % plan.n] - 1)
+            for d in range(plan.n)
+            if not plan.maint_after[d]
         )
+        assert fitness_value(plan, inst, fig1_matrices) == float(waited)

@@ -101,9 +101,10 @@ def decode_rotations(
         raise InvalidPlanError("cycle does not close with a maintenance arc")
     if len(order) != len(flags):
         raise InvalidPlanError("order and maint_after lengths differ")
+    n = instance.n
     for tid in order:
-        if not 1 <= tid <= instance.n:
-            raise InvalidPlanError(f"train id {tid!r} outside 1..{instance.n}")
+        if not 1 <= tid <= n:
+            raise InvalidPlanError(f"train id {tid!r} outside 1..{n}")
 
     rotations: list[Rotation] = []
     start = waited = 0
@@ -246,12 +247,13 @@ def objective_value(
 
 def fitness_from_parts(rotations, params) -> float:
     """Penalized score of decoded rotations (see fitness_value)."""
+    max_l, omega2 = params.max_mileage, params.omega2
     total = float(params.omega1 * sum(r.connection_time for r in rotations))
     for r in rotations:
-        if r.total_mileage > params.max_mileage:
-            total += params.omega2 * params.beta * (r.total_mileage - params.max_mileage)
+        if r.total_mileage > max_l:
+            total += omega2 * params.beta * (r.total_mileage - max_l)
         else:
-            total += params.omega2 * (params.max_mileage - r.total_mileage)
+            total += omega2 * (max_l - r.total_mileage)
     return total
 
 

@@ -11,6 +11,12 @@ Randomness is counter-based: a Philox block cipher keyed once from the
 master seed, with the (iteration, particle) pair in the counter. Particle
 evaluation order therefore cannot change any draw, and particles could be
 evaluated concurrently without affecting results.
+
+One iteration is one array step: every particle's stream is reset to its
+(iteration, particle) counter and its random coefficients are drawn first,
+then one velocity/position update moves the whole swarm, then each proposal
+is decoded with the rest of its particle's stream. Each particle's generator
+is built once per solve and reset, not rebuilt, for every later iteration.
 """
 
 from __future__ import annotations
@@ -58,9 +64,9 @@ def update_velocity(v, x, p_g_d, p_m_d, w: float, c1: float, c2: float, r1, r2,
                     v_min: float, v_max: float):
     """Inertia-weighted velocity step, clamped to [v_min, v_max].
 
-    Works per dimension on scalars or elementwise on arrays of one particle's
-    dimensions. c1 weighs the global best and c2 the personal best (with
-    equal defaults the distinction is moot).
+    Works per dimension on scalars or elementwise on arrays, such as the
+    whole swarm's (particles, dimensions) arrays. c1 weighs the global best
+    and c2 the personal best (with equal defaults the distinction is moot).
     """
     return np.clip(w * v + c1 * r1 * (p_g_d - x) + c2 * r2 * (p_m_d - x), v_min, v_max)
 
@@ -83,6 +89,22 @@ def substream(key: np.ndarray, k: int, m: int) -> np.random.Generator:
     """Independent deterministic stream for iteration k, particle m."""
     counter = np.array([0, 0, m, k], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def _reset_stream(rng: np.random.Generator, key: np.ndarray, k: int, m: int) -> None:
+    """Put a Philox generator in the state substream(key, k, m) starts in.
+
+    Same draws as a new substream at a fraction of its cost: the counter is set
+    and the buffered words of the previous stream are dropped.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, m, k), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # buffer empty
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def decode(
@@ -165,13 +187,14 @@ def solve(
     pbest_pos = np.zeros((n_p, n), dtype=np.int64)
     pbest_fit = np.full(n_p, np.inf)
     pbest_plan: list[CirculationPlan | None] = [None] * n_p
+    streams = [substream(key, 0, m) for m in range(n_p)]
+    r = np.empty((n_p, 2 * n))
 
     best_feasible_fit = np.inf
     best_feasible_plan: CirculationPlan | None = None
     feasible_now = 0
 
-    for m in range(n_p):
-        rng = substream(key, 0, m)
+    for m, rng in enumerate(streams):
         plan, failed = construct_with_stats(instance, matrices, rng, max_restarts, maint_prob)
         restarts += failed
         fit, feasible = evaluate(plan)
@@ -192,20 +215,24 @@ def solve(
     for k in range(1, cfg.k_max + 1):
         w = inertia_weight(k, cfg)
         feasible_now = 0
-        for m in range(n_p):
-            rng = substream(key, k, m)
-            r = rng.random(2 * n)
-            vel = update_velocity(velocities[m], positions[m], gbest_pos, pbest_pos[m], w,
-                                  cfg.c1, cfg.c2, r[:n], r[n:], v_min, v_max)
-            proposed = update_position(positions[m], vel, n)
+        # Particle m's rows are read only by particle m and gbest_pos changes
+        # only after the iteration, so drawing every r and moving the whole
+        # swarm before any decode gives the draws and arithmetic of doing it
+        # particle by particle.
+        for m, rng in enumerate(streams):
+            _reset_stream(rng, key, k, m)
+            rng.random(out=r[m])
+        velocities = update_velocity(velocities, positions, gbest_pos, pbest_pos, w,
+                                     cfg.c1, cfg.c2, r[:, :n], r[:, n:], v_min, v_max)
+        proposed = update_position(positions, velocities, n)
 
+        for m, rng in enumerate(streams):
             plan, failed = _decode_counting(
-                proposed, instance, matrices, rng, maint_prob, max_restarts
+                proposed[m], instance, matrices, rng, maint_prob, max_restarts
             )
             restarts += failed
             fit, feasible = evaluate(plan)
             positions[m] = plan.order  # repaired dimensions become the realized ids
-            velocities[m] = vel
             if fit < pbest_fit[m]:
                 pbest_fit[m] = fit
                 pbest_pos[m] = plan.order

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,14 +14,16 @@ from emu_roster import (
     construct,
     decode,
     fitness_value,
+    generate_instance,
     inertia_weight,
     objective_value,
+    render_plan,
     solve,
     update_position,
     update_velocity,
     validate,
 )
-from emu_roster.pso import substream, _philox_key
+from emu_roster.pso import _philox_key, _reset_stream, substream
 
 CFG = SwarmConfig(n_particles=8, k_max=40, seed=5)
 
@@ -126,6 +129,30 @@ def test_substreams_independent_of_evaluation_order():
 def test_substream_reproducible():
     key = _philox_key(7)
     assert substream(key, 5, 3).random(8).tolist() == substream(key, 5, 3).random(8).tolist()
+
+
+@pytest.mark.parametrize("leftover", [
+    lambda g: None,
+    lambda g: g.random(3),
+    lambda g: g.integers(0, 7, size=5),
+    lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),  # odd count: a half word cached
+    lambda g: g.bit_generator.random_raw(2),  # buffer part consumed
+], ids=["fresh", "doubles", "integers", "odd-uint32", "raw"])
+def test_reset_stream_matches_substream(leftover):
+    # solve() builds one generator per particle and resets it for every later
+    # iteration; whatever the previous stream left behind, the draws must be
+    # exactly those of a newly built substream
+    key = _philox_key(11)
+    rng = substream(key, 0, 4)
+    for k, m in [(1, 4), (2, 0), (500, 29), (2**40, 7), (3, 3)]:
+        leftover(rng)
+        _reset_stream(rng, key, k, m)
+        ref = substream(key, k, m)
+        # a 32-bit draw first: it would return a stale cached half word
+        assert (rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+                == ref.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
+        assert rng.random(9).tolist() == ref.random(9).tolist()
+        assert rng.integers(0, 1000, size=4).tolist() == ref.integers(0, 1000, size=4).tolist()
 
 
 # --- decoding -------------------------------------------------------------------
@@ -237,3 +264,35 @@ def test_fitness_reduces_to_connection_time_without_slack_weight(fig1, fig1_matr
             if not plan.maint_after[d]
         )
         assert fitness_value(plan, inst, fig1_matrices) == float(waited)
+
+
+# SHA-256 of render_plan of the best plan, repr of the trace and the restart
+# count. Any change to the draws, the order of the swarm arithmetic or the
+# bookkeeping of bests changes these.
+GOLDEN_SWARM = {
+    # name: (n_pairs, turnback stations, instance seed, SwarmConfig kwargs, sha)
+    "n6-default": (3, 2, 13, (("seed", 13),),
+                   "aa6b6e3e605de69d26e2f005cf04378d1d4a872bd0d4930c52304c6d3366927c"),
+    "n8-default": (4, 1, 14, (("seed", 14),),
+                   "e01a1fd58d3bc329b6215b8356b202739ab74d2a7057e345076afa1c528ed5af"),
+    "n10-default": (5, 2, 15, (("seed", 15),),
+                    "5d3a1b138dc33cc2c119ec4a94b6a8ab4da32b86f0a69e00adb99e8c2addf872"),
+    "one-particle": (4, 1, 16, (("n_particles", 1), ("k_max", 200), ("seed", 16)),
+                     "ca78e71640c7f50e44746b52ee3366aef6697a407138aa74f6a3c2ee1ea1cf70"),
+    "custom-coefficients": (
+        5, 2, 17,
+        (("n_particles", 12), ("k_max", 60), ("c1", 1.3), ("c2", 0.6),
+         ("v_min", -1.5), ("v_max", 2.5), ("seed", 17)),
+        "88df894f52b8cfcc6578c9158577032491f07cce89a7550a27687708c6e5f612",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SWARM))
+def test_golden_swarm_runs(name):
+    pairs, turnbacks, inst_seed, cfg, sha = GOLDEN_SWARM[name]
+    inst = generate_instance(pairs, turnbacks, seed=inst_seed)
+    m = build_matrices(inst)
+    res = solve(inst, m, SwarmConfig(**dict(cfg)))
+    text = render_plan(res.best_plan, inst, m) + repr(res.trace) + str(res.restarts)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha

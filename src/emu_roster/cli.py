@@ -38,6 +38,7 @@ from .timetable import (
 _MODEL_KEYS = set(PARAM_KEYS)
 _SWARM_KEYS = {f.name for f in fields(SwarmConfig)}
 _EXTRA_KEYS = {"maint_prob", "max_restarts"}
+_INT_KEYS = {"n_particles", "k_max", "seed", "max_restarts", "t_connect"}
 
 
 class CliError(Exception):
@@ -62,7 +63,8 @@ def _write(path: str, content: str) -> None:
 
 def _parse_config_file(path: str) -> dict[str, float]:
     """key=value lines; '#' comments. Keys from SwarmConfig, the model
-    parameters, or the constructor knobs (maint_prob, max_restarts)."""
+    parameters, or the constructor knobs (maint_prob, max_restarts). Counts,
+    the seed and t_connect must be integral and are returned as ints."""
     values: dict[str, float] = {}
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -75,9 +77,14 @@ def _parse_config_file(path: str) -> dict[str, float]:
         if key not in _MODEL_KEYS | _SWARM_KEYS | _EXTRA_KEYS:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = float(val.strip())
+            value = float(val.strip())
         except ValueError:
             raise CliError(f"{path}:{lineno}: bad numeric value {val.strip()!r}") from None
+        if key in _INT_KEYS:
+            if not value.is_integer():
+                raise CliError(f"{path}:{lineno}: {key} must be an integer, got {val.strip()!r}")
+            value = int(value)
+        values[key] = value
     return values
 
 
@@ -93,8 +100,6 @@ def _with_model_overrides(instance, args):
             value = cfgfile.get(key)
         if value is not None:
             overrides["lam" if key == "lambda" else key] = value
-    if "t_connect" in overrides:
-        overrides["t_connect"] = int(overrides["t_connect"])
     if overrides:
         instance = instance.with_params(**overrides)
     return instance, cfgfile
@@ -109,9 +114,6 @@ def _swarm_config(args, cfgfile: dict[str, float]) -> tuple[SwarmConfig, float, 
     for key in _SWARM_KEYS:
         if key in cfgfile:
             kwargs[key] = cfgfile[key]
-    for key in ("n_particles", "k_max", "seed"):
-        if key in kwargs:
-            kwargs[key] = int(kwargs[key])
     if getattr(args, "particles", None) is not None:
         kwargs["n_particles"] = args.particles
     if getattr(args, "iters", None) is not None:
@@ -121,7 +123,7 @@ def _swarm_config(args, cfgfile: dict[str, float]) -> tuple[SwarmConfig, float, 
     maint_prob = cfgfile.get("maint_prob", 0.5)
     if getattr(args, "maint_prob", None) is not None:
         maint_prob = args.maint_prob
-    max_restarts = int(cfgfile.get("max_restarts", 100))
+    max_restarts = cfgfile.get("max_restarts", 100)
     if getattr(args, "max_restarts", None) is not None:
         max_restarts = args.max_restarts
     return SwarmConfig(**kwargs), maint_prob, max_restarts

@@ -74,15 +74,14 @@ def build_cycle(
     rng: np.random.Generator,
     maint_prob: float = 0.5,
     proposal=None,
-    overrun_ok: bool = False,
 ) -> CirculationPlan:
     """One construction attempt; raises DeadEnd when it cannot continue.
 
     With a proposal (one train id per position), each proposed train is taken
-    when it is unassigned and legal under the current step's rules; illegal
-    proposals fall back to the normal random step. overrun_ok additionally
-    lets a *proposed* depot-bound train through on a mileage overrun (the
+    when it is unassigned and legal under the current step's rules, except
+    that a proposed depot-bound train may break the mileage window (the
     relaxed, penalty-scored regime); time overruns are never admitted.
+    Illegal proposals fall back to the normal random step.
     """
     n = instance.n
     trains = instance.trains
@@ -154,14 +153,11 @@ def build_cycle(
             j = None
             if proposed is not None and proposed in remaining:
                 conn = conn_row[proposed - 1]
-                if conn is not None:
-                    new_l = acc_l + mileage[proposed]
-                    new_t = acc_t + conn + travel[proposed]
-                    if arr_at_depot[proposed]:
-                        if new_t <= max_t and (overrun_ok or new_l <= max_l):
-                            j = proposed
-                    elif new_l <= max_l and new_t <= max_t:
-                        j = proposed
+                # only a depot-bound proposal may break the mileage window
+                if conn is not None and acc_t + conn + travel[proposed] <= max_t and (
+                    arr_at_depot[proposed] or acc_l + mileage[proposed] <= max_l
+                ):
+                    j = proposed
             if j is None:
                 away, to_depot, usable = _candidates(
                     here, acc_l, acc_t, arr_at_depot, mileage, travel, conn_row, max_l, max_t

@@ -160,11 +160,12 @@ def validate(
     """Check every constraint family; collect all violations, never raise.
 
     Families: SHAPE (vector shape/domain, closing flag), EQ8/EQ9 (each train
-    used exactly once), CYCLE (induced successor graph is one n-cycle), CONN
-    (ordinary arcs connectable), EQ10 (maintenance only at eligible arcs),
-    EQ11 / EQ12 (mileage / time since maintenance within the allowance at
-    every position). Accumulation past a CONN violation treats the unknown
-    waiting time as zero so later positions still get checked.
+    used exactly once), CONN (ordinary arcs connectable), EQ10 (maintenance
+    only at eligible arcs), EQ11 / EQ12 (mileage / time since maintenance
+    within the allowance at every position). The single-loop rule needs no
+    check of its own: the plan is a cyclic order, so once EQ8/EQ9 holds its
+    successor graph is one n-cycle. Accumulation past a CONN violation treats
+    the unknown waiting time as zero so later positions still get checked.
     """
     v: list[Violation] = []
     n = instance.n
@@ -194,18 +195,6 @@ def validate(
         v.append(Violation("EQ8/EQ9", f"trains used more than once: {dups}"))
     if missing and len(plan.order) == n:
         v.append(Violation("EQ8/EQ9", f"trains never used: {missing}"))
-
-    # single-cycle check on the induced successor graph
-    if not dups and not missing and len(plan.order) == n and not bad_ids:
-        succ = {ids[d]: ids[(d + 1) % n] for d in range(n)}
-        seen, cur = 0, ids[0]
-        while seen < n:
-            cur = succ[cur]
-            seen += 1
-            if cur == ids[0]:
-                break
-        if seen != n:
-            v.append(Violation("CYCLE", f"successor graph closes after {seen} arcs, expected {n}"))
 
     if len(plan.order) != n or bad_ids:
         return ValidationReport(tuple(v))

@@ -12,11 +12,14 @@ master seed, with the (iteration, particle) pair in the counter. Particle
 evaluation order therefore cannot change any draw, and particles could be
 evaluated concurrently without affecting results.
 
-One iteration is one array step: every particle's stream is reset to its
-(iteration, particle) counter and its random coefficients are drawn first,
-then one velocity/position update moves the whole swarm, then each proposal
-is decoded with the rest of its particle's stream. Each particle's generator
-is built once per solve and reset, not rebuilt, for every later iteration.
+Iteration 0 is the first pass of the same particle loop: each particle is
+built by the random constructor instead of decoded, then scored and recorded
+like any later plan. Every later iteration is one array step: every
+particle's stream is reset to its (iteration, particle) counter and its
+random coefficients are drawn first, then one velocity/position update moves
+the whole swarm, then each proposal is decoded with the rest of its
+particle's stream. Each particle's generator is built once per solve and
+reset, not rebuilt, for every later iteration.
 """
 
 from __future__ import annotations
@@ -114,21 +117,15 @@ def decode(
     rng: np.random.Generator,
     maint_prob: float = 0.5,
     max_restarts: int = 100,
-) -> CirculationPlan:
+) -> tuple[CirculationPlan, int]:
     """Realize a position vector as a plan, repairing illegal entries.
 
     Falls back to a full fresh construction when the guided walk dead-ends.
+    Returns (plan, dead ends): 0 when the guided walk succeeds, else 1 plus
+    the failed attempts of the fallback construction.
     """
-    plan, _ = _decode_counting(position, instance, matrices, rng, maint_prob, max_restarts)
-    return plan
-
-
-def _decode_counting(position, instance, matrices, rng, maint_prob, max_restarts):
     try:
-        return (
-            build_cycle(instance, matrices, rng, maint_prob, proposal=position, overrun_ok=True),
-            0,
-        )
+        return build_cycle(instance, matrices, rng, maint_prob, proposal=position), 0
     except DeadEnd:
         plan, failed = construct_with_stats(instance, matrices, rng, max_restarts, maint_prob)
         return plan, failed + 1
@@ -176,68 +173,50 @@ def solve(
     key = _philox_key(cfg.seed)
     restarts = 0
 
-    def evaluate(plan: CirculationPlan) -> tuple[float, bool]:
-        rotations = decode_rotations(plan, instance, matrices)
-        feasible = all(r.total_mileage <= max_l for r in rotations)
-        return fitness_from_parts(rotations, params), feasible
-
     n_p = cfg.n_particles
     positions = np.zeros((n_p, n), dtype=np.int64)
     velocities = np.zeros((n_p, n), dtype=np.float64)
     pbest_pos = np.zeros((n_p, n), dtype=np.int64)
     pbest_fit = np.full(n_p, np.inf)
-    pbest_plan: list[CirculationPlan | None] = [None] * n_p
+    gbest_fit = np.inf
+    gbest_pos = pbest_pos[0]  # replaced at the end of iteration 0
     streams = [substream(key, 0, m) for m in range(n_p)]
     r = np.empty((n_p, 2 * n))
 
     best_feasible_fit = np.inf
     best_feasible_plan: CirculationPlan | None = None
-    feasible_now = 0
+    trace: list[TracePoint] = []
 
-    for m, rng in enumerate(streams):
-        plan, failed = construct_with_stats(instance, matrices, rng, max_restarts, maint_prob)
-        restarts += failed
-        fit, feasible = evaluate(plan)
-        positions[m] = plan.order
-        pbest_pos[m] = plan.order
-        pbest_fit[m] = fit
-        pbest_plan[m] = plan
-        if feasible:
-            feasible_now += 1
-            if fit < best_feasible_fit:
-                best_feasible_fit, best_feasible_plan = fit, plan
+    # Iteration 0 builds every particle with the constructor; the bests start
+    # at inf, so its plans are taken by the same bookkeeping as later ones.
+    for k in range(cfg.k_max + 1):
+        if k:
+            # Particle m's rows are read only by particle m and gbest_pos
+            # changes only after the iteration, so drawing every r and moving
+            # the whole swarm before any decode gives the draws and arithmetic
+            # of doing it particle by particle.
+            for m, rng in enumerate(streams):
+                _reset_stream(rng, key, k, m)
+                rng.random(out=r[m])
+            velocities = update_velocity(velocities, positions, gbest_pos, pbest_pos,
+                                         inertia_weight(k, cfg), cfg.c1, cfg.c2,
+                                         r[:, :n], r[:, n:], v_min, v_max)
+            proposed = update_position(positions, velocities, n)
 
-    g = int(np.argmin(pbest_fit))
-    gbest_fit = float(pbest_fit[g])
-    gbest_pos = pbest_pos[g].copy()
-    trace = [TracePoint(0, gbest_fit, feasible_now / n_p)]
-
-    for k in range(1, cfg.k_max + 1):
-        w = inertia_weight(k, cfg)
         feasible_now = 0
-        # Particle m's rows are read only by particle m and gbest_pos changes
-        # only after the iteration, so drawing every r and moving the whole
-        # swarm before any decode gives the draws and arithmetic of doing it
-        # particle by particle.
         for m, rng in enumerate(streams):
-            _reset_stream(rng, key, k, m)
-            rng.random(out=r[m])
-        velocities = update_velocity(velocities, positions, gbest_pos, pbest_pos, w,
-                                     cfg.c1, cfg.c2, r[:, :n], r[:, n:], v_min, v_max)
-        proposed = update_position(positions, velocities, n)
-
-        for m, rng in enumerate(streams):
-            plan, failed = _decode_counting(
-                proposed[m], instance, matrices, rng, maint_prob, max_restarts
-            )
+            if k:
+                plan, failed = decode(proposed[m], instance, matrices, rng, maint_prob, max_restarts)
+            else:
+                plan, failed = construct_with_stats(instance, matrices, rng, max_restarts, maint_prob)
             restarts += failed
-            fit, feasible = evaluate(plan)
+            rotations = decode_rotations(plan, instance, matrices)
+            fit = fitness_from_parts(rotations, params)
             positions[m] = plan.order  # repaired dimensions become the realized ids
             if fit < pbest_fit[m]:
                 pbest_fit[m] = fit
                 pbest_pos[m] = plan.order
-                pbest_plan[m] = plan
-            if feasible:
+            if all(rot.total_mileage <= max_l for rot in rotations):
                 feasible_now += 1
                 if fit < best_feasible_fit:
                     best_feasible_fit, best_feasible_plan = fit, plan

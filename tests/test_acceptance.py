@@ -204,7 +204,7 @@ def test_structural_invariants():
         inst, matrices = instances[i % len(instances)]
         n = inst.n
         vec = rng.integers(1, n + 1, size=n)
-        plan = decode(vec, inst, matrices, np.random.default_rng(int(rng.integers(1 << 31))))
+        plan, _ = decode(vec, inst, matrices, np.random.default_rng(int(rng.integers(1 << 31))))
         assert sorted(plan.order) == list(range(1, n + 1))
         assert plan.maint_after[-1] == 1
         for d in range(n):

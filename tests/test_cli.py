@@ -241,6 +241,16 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize("key", ["n_particles", "k_max", "seed", "max_restarts", "t_connect"])
+def test_config_file_rejects_non_integral_counts(tmp_path, capsys, key):
+    cfgf = tmp_path / "solver.cfg"
+    cfgf.write_text(f"{key}=2.5\n")
+    code, _, err = run(capsys, "solve", FIG1, "--out", str(tmp_path / "p.txt"),
+                       "--config", str(cfgf), "--particles", "2", "--iters", "2")
+    assert code == 1
+    assert f"{key} must be an integer" in err
+
+
 def test_cli_flag_overrides_config(tmp_path, capsys):
     cfgf = tmp_path / "solver.cfg"
     cfgf.write_text("k_max=50\nn_particles=5\n")

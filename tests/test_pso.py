@@ -23,6 +23,7 @@ from emu_roster import (
     update_velocity,
     validate,
 )
+from emu_roster.constructor import DeadEnd, build_cycle, construct_with_stats
 from emu_roster.pso import _philox_key, _reset_stream, substream
 
 CFG = SwarmConfig(n_particles=8, k_max=40, seed=5)
@@ -164,29 +165,49 @@ def test_decode_reproduces_feasible_plan_orders():
     for _ in range(40):
         plan = construct(inst, m, rng)
         for k in range(5):
-            out = decode(plan.order, inst, m, np.random.default_rng(k))
+            out, _ = decode(plan.order, inst, m, np.random.default_rng(k))
             assert out.order == plan.order
 
 
 def test_decode_two_train_identity(two_train):
     m = build_matrices(two_train)
     for k in range(50):
-        out = decode((1, 2), two_train, m, np.random.default_rng(k))
+        out, _ = decode((1, 2), two_train, m, np.random.default_rng(k))
         assert out.order == (1, 2)
         assert out.maint_after == (0, 1)
 
 
 def test_decode_repairs_degenerate_vector(fig1, fig1_matrices):
     for k in range(30):
-        plan = decode([1] * 12, fig1, fig1_matrices, np.random.default_rng(k))
+        plan, _ = decode([1] * 12, fig1, fig1_matrices, np.random.default_rng(k))
         assert sorted(plan.order) == list(range(1, 13))
         assert plan.maint_after[-1] == 1
 
 
+def test_decode_counts_dead_ends():
+    """0 when the guided walk succeeds; else 1 plus the failed attempts of the
+    fallback construction, which continues on the same generator."""
+    inst = generate_instance(4, 2, seed=102)
+    m = build_matrices(inst)
+    rng = np.random.default_rng(1)
+    seen = set()
+    for i in range(200):
+        vec = rng.integers(1, inst.n + 1, size=inst.n)
+        ref_rng = np.random.default_rng(i)
+        try:
+            expected = build_cycle(inst, m, ref_rng, 0.5, vec), 0
+        except DeadEnd:
+            plan, failed = construct_with_stats(inst, m, ref_rng, 100, 0.5)
+            expected = plan, failed + 1
+        assert decode(vec, inst, m, np.random.default_rng(i)) == expected
+        seen.add(min(expected[1], 2))
+    assert seen == {0, 1, 2}  # success, fallback at once, fallback after retries
+
+
 def test_decode_deterministic(fig1, fig1_matrices):
     vec = [7, 3, 3, 1, 12, 2, 2, 8, 5, 5, 10, 11]
-    a = decode(vec, fig1, fig1_matrices, np.random.default_rng(9))
-    b = decode(vec, fig1, fig1_matrices, np.random.default_rng(9))
+    a, _ = decode(vec, fig1, fig1_matrices, np.random.default_rng(9))
+    b, _ = decode(vec, fig1, fig1_matrices, np.random.default_rng(9))
     assert a == b
 
 
@@ -194,7 +215,7 @@ def test_decoded_plans_always_structurally_sound(fig1, fig1_matrices):
     rng = np.random.default_rng(77)
     for _ in range(300):
         vec = rng.integers(1, 13, size=12)
-        plan = decode(vec, fig1, fig1_matrices, np.random.default_rng(int(rng.integers(1 << 31))))
+        plan, _ = decode(vec, fig1, fig1_matrices, np.random.default_rng(int(rng.integers(1 << 31))))
         assert sorted(plan.order) == list(range(1, 13))
         assert plan.maint_after[-1] == 1
         for d in range(12):

@@ -45,6 +45,14 @@ class CliError(Exception):
     """Bad input; maps to exit code 1."""
 
 
+def _check_range(key: str, value: float, where: str) -> None:
+    """Reject a constructor knob outside its range; where names its source."""
+    if key == "maint_prob" and not 0.0 <= value <= 1.0:
+        raise CliError(f"{where} must lie in [0, 1], got {value!r}")
+    if key == "max_restarts" and value < 0:
+        raise CliError(f"{where} must be >= 0, got {value!r}")
+
+
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -84,6 +92,7 @@ def _parse_config_file(path: str) -> dict[str, float]:
             if not value.is_integer():
                 raise CliError(f"{path}:{lineno}: {key} must be an integer, got {val.strip()!r}")
             value = int(value)
+        _check_range(key, value, f"{path}:{lineno}: {key}")
         values[key] = value
     return values
 
@@ -123,9 +132,11 @@ def _swarm_config(args, cfgfile: dict[str, float]) -> tuple[SwarmConfig, float, 
     maint_prob = cfgfile.get("maint_prob", 0.5)
     if getattr(args, "maint_prob", None) is not None:
         maint_prob = args.maint_prob
+        _check_range("maint_prob", maint_prob, "--maint-prob")
     max_restarts = cfgfile.get("max_restarts", 100)
     if getattr(args, "max_restarts", None) is not None:
         max_restarts = args.max_restarts
+        _check_range("max_restarts", max_restarts, "--max-restarts")
     return SwarmConfig(**kwargs), maint_prob, max_restarts
 
 
@@ -211,6 +222,9 @@ def _cmd_gen(args) -> int:
     instance, _ = _with_model_overrides(
         generate_instance(args.pairs, args.turnbacks, args.seed), args
     )
+    # the trains do not depend on the parameters; generating again under the
+    # final ones refuses a pair that cannot fit their windows
+    instance = generate_instance(args.pairs, args.turnbacks, args.seed, instance.params)
     text = render_timetable(instance)
     if args.out:
         _write(args.out, text)
@@ -249,9 +263,9 @@ def _add_swarm_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--particles", type=int, help="swarm size")
     p.add_argument("--iters", type=int, help="iteration count")
     p.add_argument("--maint-prob", dest="maint_prob", type=float,
-                   help="probability of optional maintenance at the depot")
+                   help="probability of optional maintenance at the depot, in [0, 1]")
     p.add_argument("--max-restarts", dest="max_restarts", type=int,
-                   help="construction attempts before giving up")
+                   help="failed construction attempts allowed before giving up (>= 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:

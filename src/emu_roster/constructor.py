@@ -10,6 +10,11 @@ Candidates come from the per-station departure index of ConnectionMatrices:
 each attempt keeps, per station, the id-sorted list of unassigned trains
 leaving it, so a step costs O(departures at that station) rather than a sort
 of every unassigned train, and draws from exactly the same candidate lists.
+The per-train lists a step reads, and the oversize-train check, come from
+the instance's train_tables, built once per instance; an attempt copies only
+the departure lists and a placed flag per train id. The only randomness an
+attempt takes is rng.random(), so any source of uniform doubles with that
+method serves, such as solve's block-drawn Philox streams.
 
 The same stepping engine also serves the swarm decoder: a caller may supply
 a proposed train per position, which is taken whenever it is legal at that
@@ -64,10 +69,6 @@ def _candidates(
     return away, to_depot, usable
 
 
-def _pick(candidates: list[int], rng: np.random.Generator) -> int:
-    return candidates[int(rng.random() * len(candidates))]
-
-
 def build_cycle(
     instance: TimetableInstance,
     matrices: ConnectionMatrices,
@@ -84,23 +85,18 @@ def build_cycle(
     Illegal proposals fall back to the normal random step.
     """
     n = instance.n
-    trains = instance.trains
+    mileage, travel, arr_at_depot, arr_station, oversize = instance.train_tables
+    if oversize is not None:
+        raise InfeasibleError(
+            f"train {oversize} alone exceeds a maintenance cycle allowance; no plan exists"
+        )
     params = instance.params
     max_l, max_t = params.max_mileage, params.max_time
     depot = instance.maint_station
-
-    mileage = [0.0] + [t.mileage for t in trains]
-    travel = [0] + [t.travel_time for t in trains]
-    arr_at_depot = [False] + [t.arr_station == depot for t in trains]
     conn_rows = matrices.conn_rows
+    random = rng.random  # a uniform double in [0, 1); picks index by int(random() * len)
 
-    for t in trains:
-        if t.mileage > max_l or t.travel_time > max_t:
-            raise InfeasibleError(
-                f"train {t.id} alone exceeds a maintenance cycle allowance; no plan exists"
-            )
-
-    remaining = set(range(1, n + 1))
+    placed = [False] * (n + 1)
     # unassigned departures per station, ascending ids; a train leaves its
     # list when placed
     free = {s: list(ids) for s, ids in matrices.departures.items()}
@@ -114,34 +110,37 @@ def build_cycle(
     first = None
     if proposal is not None:
         first = int(proposal[0])
-        if first not in remaining or trains[first - 1].dep_station != depot:
+        if not 0 < first <= n or instance.trains[first - 1].dep_station != depot:
             first = None
     if first is None:
-        first = _pick(depot_free, rng)
+        first = depot_free[int(random() * len(depot_free))]
     order.append(first)
     flags.append(0)
-    remaining.discard(first)
+    placed[first] = True
     del depot_free[bisect_left(depot_free, first)]
     acc_l, acc_t = mileage[first], travel[first]
 
-    while remaining:
-        d = len(order) + 1
+    for d in range(2, n + 1):
         prev = order[-1]
         conn_row = conn_rows[prev - 1]
-        proposed = int(proposal[d - 1]) if proposal is not None else None
+        proposed = None
+        if proposal is not None:
+            proposed = int(proposal[d - 1])
+            if not 0 < proposed <= n or placed[proposed]:
+                proposed = None  # out of range or already placed: repaired below
 
         if arr_at_depot[prev]:
             here = depot_free
             if not here:
                 raise DeadEnd(f"no depot departure left at position {d}")
             # prev arrived at the depot: connectable means departing it
-            if proposed is not None and proposed in remaining and conn_row[proposed - 1] is not None:
+            if proposed is not None and conn_row[proposed - 1] is not None:
                 j = proposed
             else:
-                j = _pick(here, rng)
+                j = here[int(random() * len(here))]
             conn = conn_row[j - 1]
             fits = acc_l + mileage[j] <= max_l and acc_t + conn + travel[j] <= max_t
-            maintain = 1 if not fits or rng.random() < maint_prob else 0
+            maintain = 1 if not fits or random() < maint_prob else 0
             if maintain:
                 acc_l, acc_t = mileage[j], travel[j]
             else:
@@ -149,9 +148,9 @@ def build_cycle(
                 acc_t += conn + travel[j]
             flags[-1] = maintain
         else:
-            here = free[trains[prev - 1].arr_station]
+            here = free[arr_station[prev]]
             j = None
-            if proposed is not None and proposed in remaining:
+            if proposed is not None:
                 conn = conn_row[proposed - 1]
                 # only a depot-bound proposal may break the mileage window
                 if conn is not None and acc_t + conn + travel[proposed] <= max_t and (
@@ -166,9 +165,9 @@ def build_cycle(
                 # following depot step can force maintenance), but a train
                 # that breaks one outright is unusable
                 if away:
-                    j = _pick(away, rng)
+                    j = away[int(random() * len(away))]
                 elif usable:
-                    j = _pick(usable, rng)
+                    j = usable[int(random() * len(usable))]
                 elif to_depot:
                     raise DeadEnd(f"every depot-bound successor overruns at position {d}")
                 else:
@@ -180,7 +179,7 @@ def build_cycle(
 
         order.append(j)
         flags.append(0)
-        remaining.discard(j)
+        placed[j] = True
         del here[bisect_left(here, j)]
 
     if not arr_at_depot[order[-1]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .connection import ConnectionMatrices
 from .timetable import TimetableInstance
@@ -77,9 +78,13 @@ def _walk(order, maint_after, instance: TimetableInstance, matrices: ConnectionM
         prev, fresh = tid, maint_after[d]
 
 
-@dataclass(frozen=True)
-class Rotation:
-    """One EMU circulation: the trains served between two maintenances."""
+class Rotation(NamedTuple):
+    """One EMU circulation: the trains served between two maintenances.
+
+    A named tuple, built once per rotation of every scored plan: it reads and
+    prints like a frozen record, and also compares equal to a plain tuple of
+    the same values.
+    """
 
     trains: tuple[int, ...]
     total_mileage: float

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,6 +112,17 @@ class Train:
             raise TimetableError(f"train {self.id}: travel_time must be positive")
 
 
+class TrainTables(NamedTuple):
+    """Per-train facts the constructor reads at every step, as plain lists
+    indexed by train id (entry 0 is padding, so train k sits at entry k)."""
+
+    mileage: list[float]
+    travel: list[int]
+    arr_at_depot: list[bool]
+    arr_station: list[str]
+    oversize: int | None  # first train that alone breaks a cycle window
+
+
 @dataclass(frozen=True)
 class TimetableInstance:
     """A validated daily timetable: trains, stations, depot station, params.
@@ -143,6 +156,24 @@ class TimetableInstance:
 
     def with_params(self, **overrides) -> "TimetableInstance":
         return replace(self, params=replace(self.params, **overrides))
+
+    @cached_property
+    def train_tables(self) -> TrainTables:
+        """Built on first use and kept: an instance never changes, and
+        with_params returns a new instance with its own tables."""
+        trains = self.trains
+        depot = self.maint_station
+        max_l, max_t = self.params.max_mileage, self.params.max_time
+        oversize = next(
+            (t.id for t in trains if t.mileage > max_l or t.travel_time > max_t), None
+        )
+        return TrainTables(
+            mileage=[0.0] + [t.mileage for t in trains],
+            travel=[0] + [t.travel_time for t in trains],
+            arr_at_depot=[False] + [t.arr_station == depot for t in trains],
+            arr_station=[""] + [t.arr_station for t in trains],
+            oversize=oversize,
+        )
 
 
 def check_instance(trains, stations, maint_stations, params) -> None:
@@ -332,7 +363,11 @@ def generate_instance(
 
     Every pair runs depot -> turnback -> depot with a common mileage, which
     guarantees flow balance and at least one feasible circulation (maintain
-    after every return trip). The return leg departs 20..180 minutes after
+    after every return trip) as long as each pair fits the cycle allowances
+    as one rotation. Raises ValueError naming the first pair that does not:
+    its two legs and the wait between them exceed the mileage or time
+    allowance of params (default params never do: a pair runs at most
+    2,400 km against 4,200). The return leg departs 20..180 minutes after
     the outbound arrival, as real turn-backs do; both legs stay inside one
     service day. Mileages fall in [100, 1200] km, rounded to 0.1 km so
     rendering round-trips exactly. Deterministic in seed.
@@ -341,6 +376,7 @@ def generate_instance(
         raise ValueError("n_pairs must be >= 1")
     if n_turnback_stations < 1:
         raise ValueError("n_turnback_stations must be >= 1")
+    params = params or ModelParams()
     rng = np.random.default_rng(seed)
     depot = "C"
     turnbacks = [f"T{i}" for i in range(1, n_turnback_stations + 1)]
@@ -357,6 +393,14 @@ def generate_instance(
         out = Train(next_id, depot, out_dep, station, out_dep + travel, mileage, travel)
         back_dep = out.arr_time + turnaround
         back = Train(next_id + 1, station, back_dep, depot, back_dep + travel, mileage, travel)
+        # the rollover rule of connection.connection_time
+        wait = turnaround if turnaround >= params.t_connect else turnaround + MINUTES_PER_DAY
+        if 2 * mileage > params.max_mileage or 2 * travel + wait > params.max_time:
+            raise ValueError(
+                f"pair {next_id // 2 + 1} (trains {out.id} and {back.id}) needs "
+                f"{2 * mileage:.1f} km and {2 * travel + wait} min as one rotation, beyond the "
+                f"allowance of {params.max_mileage:.1f} km and {params.max_time:.0f} min"
+            )
         trains.extend([out, back])
         next_id += 2
 
@@ -365,5 +409,5 @@ def generate_instance(
         trains=tuple(trains),
         stations=frozenset(stations),
         maint_stations=frozenset({depot}),
-        params=params or ModelParams(),
+        params=params,
     )

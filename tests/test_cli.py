@@ -251,6 +251,42 @@ def test_config_file_rejects_non_integral_counts(tmp_path, capsys, key):
     assert f"{key} must be an integer" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-restarts", "-3", "--max-restarts must be >= 0"),
+    ("--maint-prob", "1.5", "--maint-prob must lie in [0, 1]"),
+    ("--maint-prob", "-0.1", "--maint-prob must lie in [0, 1]"),
+])
+def test_constructor_knob_flags_out_of_range_exit_1(tmp_path, capsys, flag, value, message):
+    plan_path = tmp_path / "p.txt"
+    code, out, err = run(capsys, "solve", FIG1, "--out", str(plan_path), flag, value,
+                         "--particles", "2", "--iters", "2")
+    assert code == 1
+    assert message in err
+    assert out == "" and not plan_path.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("max_restarts=-3", "max_restarts must be >= 0"),
+    ("maint_prob=1.5", "maint_prob must lie in [0, 1]"),
+    ("maint_prob=nan", "maint_prob must lie in [0, 1]"),
+])
+def test_config_file_rejects_out_of_range_knobs(tmp_path, capsys, line, message):
+    cfgf = tmp_path / "solver.cfg"
+    cfgf.write_text(f"# knobs\n{line}\n")
+    code, _, err = run(capsys, "solve", FIG1, "--out", str(tmp_path / "p.txt"),
+                       "--config", str(cfgf), "--particles", "2", "--iters", "2")
+    assert code == 1
+    assert f"{cfgf}:2: {message}" in err
+
+
+def test_constructor_knob_range_ends_are_accepted(tmp_path, capsys):
+    for flags in (("--maint-prob", "0"), ("--maint-prob", "1"), ("--max-restarts", "0")):
+        code, _, err = run(capsys, "solve", FIG1, "--out", str(tmp_path / "p.txt"), *flags,
+                           "--particles", "2", "--iters", "2", "--seed", "1")
+        # a single attempt (no restarts) may honestly dead-end: exit 2, not a usage error
+        assert code in (0, 2) and "error:" not in err, flags
+
+
 def test_cli_flag_overrides_config(tmp_path, capsys):
     cfgf = tmp_path / "solver.cfg"
     cfgf.write_text("k_max=50\nn_particles=5\n")

@@ -93,6 +93,22 @@ def test_oversized_train_is_globally_infeasible():
         construct(inst, m, np.random.default_rng(0))
 
 
+def test_instance_tables_never_go_stale():
+    inst = generate_instance(4, 2, seed=3)
+    m = build_matrices(inst)
+    construct(inst, m, np.random.default_rng(0))  # builds inst's tables
+    assert "train_tables" in vars(inst)
+    longest = max(t.mileage for t in inst.trains)
+    with pytest.warns(TimetableWarning):
+        tight = inst.with_params(l_cycle=longest / 1.1)  # allowance below one train
+    assert tight.params.max_mileage < longest
+    with pytest.raises(InfeasibleError, match="alone exceeds"):
+        construct(tight, build_matrices(tight), np.random.default_rng(0))
+    # the original instance keeps its own tables and still constructs
+    assert inst.train_tables.oversize is None
+    assert validate(construct(inst, m, np.random.default_rng(0)), inst, m).ok
+
+
 def test_restart_rate_stays_low():
     # informative bound from the build contract: < 5 failed attempts per
     # success on synthetic paired instances

@@ -7,6 +7,7 @@ from emu_roster import (
     CirculationPlan,
     InvalidPlanError,
     ModelParams,
+    Rotation,
     TimetableInstance,
     Train,
     build_matrices,
@@ -449,3 +450,17 @@ def test_golden_summary():
     inst, m, plan = _golden_n100()
     summary = plan_summary(plan, inst, m)
     assert hashlib.sha256(repr(summary).encode()).hexdigest() == GOLDEN_SUMMARY
+
+
+def test_rotation_repr_and_immutability():
+    rot = Rotation((1, 2, 3), 1234.5, 600, 75)
+    # the repr of the earlier frozen-dataclass record
+    assert repr(rot) == (
+        "Rotation(trains=(1, 2, 3), total_mileage=1234.5, total_time=600, connection_time=75)"
+    )
+    assert rot == Rotation(trains=(1, 2, 3), total_mileage=1234.5, total_time=600,
+                           connection_time=75)
+    assert hash(rot) == hash(Rotation((1, 2, 3), 1234.5, 600, 75))
+    for name in ("trains", "total_mileage", "total_time", "connection_time"):
+        with pytest.raises(AttributeError):
+            setattr(rot, name, 0)

@@ -24,7 +24,7 @@ from emu_roster import (
     validate,
 )
 from emu_roster.constructor import DeadEnd, build_cycle, construct_with_stats
-from emu_roster.pso import _philox_key, _reset_stream, substream
+from emu_roster.pso import BLOCK, _BlockUniforms, _philox_key, _reset_stream, substream
 
 CFG = SwarmConfig(n_particles=8, k_max=40, seed=5)
 
@@ -154,6 +154,52 @@ def test_reset_stream_matches_substream(leftover):
                 == ref.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
         assert rng.random(9).tolist() == ref.random(9).tolist()
         assert rng.integers(0, 1000, size=4).tolist() == ref.integers(0, 1000, size=4).tolist()
+
+
+def scalar_draws(key, k, m, count):
+    """What count scalar random() calls on a fresh substream give."""
+    ref = substream(key, k, m)
+    return [ref.random() for _ in range(count)]
+
+
+def test_block_uniforms_cross_block_boundaries():
+    key = _philox_key(13)
+    src = _BlockUniforms(substream(key, 0, 2), key)
+    count = 2 * BLOCK + 5
+    assert [src.random() for _ in range(count)] == scalar_draws(key, 0, 2, count)
+
+
+def test_block_uniforms_reset_mid_block():
+    key = _philox_key(13)
+    src = _BlockUniforms(substream(key, 0, 0), key)
+    for _ in range(BLOCK // 2):
+        src.random()
+    src.reset(3, 1)
+    assert [src.random() for _ in range(BLOCK + 3)] == scalar_draws(key, 3, 1, BLOCK + 3)
+
+
+def test_block_uniforms_coefficient_fill_spans_two_blocks():
+    # solve() takes the 2n velocity coefficients first, then the decode reads
+    # the rest of the stream one value at a time
+    key = _philox_key(17)
+    src = _BlockUniforms(substream(key, 0, 5), key)
+    n = BLOCK // 2 + 3
+    src.reset(9, 5)
+    r = np.empty(2 * n)
+    r[:] = src.take(2 * n)
+    rest = [src.random() for _ in range(BLOCK)]
+    ref = substream(key, 9, 5)
+    assert r.tolist() == ref.random(2 * n).tolist()  # the former out= fill
+    assert rest == [ref.random() for _ in range(BLOCK)]
+
+
+def test_block_uniforms_reused_pairs_after_partial_consumption():
+    key = _philox_key(19)
+    src = _BlockUniforms(substream(key, 0, 0), key)
+    for k, m, used in [(1, 0, 3), (2, 1, BLOCK), (1, 0, BLOCK + 1), (2, 1, 0), (1, 0, 7),
+                       (2, 1, 2 * BLOCK - 1)]:
+        src.reset(k, m)
+        assert [src.random() for _ in range(used)] == scalar_draws(key, k, m, used)
 
 
 # --- decoding -------------------------------------------------------------------

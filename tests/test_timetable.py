@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from emu_roster import (
@@ -6,6 +8,8 @@ from emu_roster import (
     TimetableWarning,
     Train,
     generate_instance,
+    brute_force,
+    build_matrices,
     parse_timetable,
     render_timetable,
 )
@@ -150,3 +154,29 @@ def test_generate_always_valid(seed):
     for t in inst.trains:
         assert 100.0 <= t.mileage <= 1200.0
         assert 0 <= t.dep_time < t.arr_time < 1440
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_generate_refuses_a_pair_beyond_the_windows(seed):
+    # at l_cycle = 1500 (allowance 1575 km) a pair of legs over 787.5 km
+    # cannot be one rotation, so the "maintain after every return" plan is
+    # gone; the generator names the pair instead of promising feasibility
+    params = ModelParams(l_cycle=1500.0)
+    try:
+        inst = generate_instance(4, 1 + seed % 2, seed=seed, params=params)
+    except ValueError as exc:
+        found = re.match(r"pair (\d) \(trains (\d) and (\d)\) needs ", str(exc))
+        assert found, str(exc)
+        pair, out_id, back_id = map(int, found.groups())
+        assert (out_id, back_id) == (2 * pair - 1, 2 * pair)
+        # the same trains under the default windows: that pair is too long here
+        loose = generate_instance(4, 1 + seed % 2, seed=seed)
+        assert 2 * loose.train(out_id).mileage > params.max_mileage
+    else:
+        assert all(2 * t.mileage <= params.max_mileage for t in inst.trains)
+        assert brute_force(inst, build_matrices(inst)).feasible_count > 0
+
+
+def test_generate_l_cycle_1500_refuses_seed_1():
+    with pytest.raises(ValueError, match=r"^pair 1 \(trains 1 and 2\) needs 2291\.0 km"):
+        generate_instance(4, 2, seed=1, params=ModelParams(l_cycle=1500.0))

@@ -6,13 +6,7 @@ randomized constructive repair, validates plans against the full constraint
 set, and cross-checks against exact enumeration on small instances.
 """
 
-from .connection import (
-    INFEASIBLE,
-    ConnectionMatrices,
-    build_matrices,
-    connection_time,
-    maintenance_eligible,
-)
+from .connection import ConnectionMatrices, build_matrices
 from .constructor import (
     InfeasibleError,
     construct,
@@ -58,7 +52,6 @@ from .timetable import (
 )
 
 __all__ = [
-    "INFEASIBLE",
     "CirculationPlan",
     "ConnectionMatrices",
     "DEFAULT_SEED",
@@ -82,7 +75,6 @@ __all__ = [
     "brute_force",
     "build_matrices",
     "compare",
-    "connection_time",
     "construct",
     "construct_with_stats",
     "decode",
@@ -90,7 +82,6 @@ __all__ = [
     "fitness_value",
     "generate_instance",
     "inertia_weight",
-    "maintenance_eligible",
     "objective_value",
     "parse_plan",
     "parse_timetable",

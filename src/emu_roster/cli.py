@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from . import oracle as oracle_mod
 from .connection import build_matrices
@@ -29,6 +29,7 @@ from .plan import (
 from .pso import DEFAULT_SEED, SolveResult, SwarmConfig, solve
 from .timetable import (
     PARAM_KEYS,
+    ModelParams,
     TimetableError,
     generate_instance,
     parse_timetable,
@@ -97,10 +98,10 @@ def _parse_config_file(path: str) -> dict[str, float]:
     return values
 
 
-def _with_model_overrides(instance, args):
+def _with_model_overrides(params: ModelParams, args) -> tuple[ModelParams, dict[str, float]]:
     """Apply model parameters from --config, then from the flags, which win.
 
-    Returns the instance and the parsed config file."""
+    Returns the resulting parameters and the parsed config file."""
     cfgfile = _parse_config_file(args.config) if args.config else {}
     overrides = {}
     for key in PARAM_KEYS:
@@ -109,13 +110,15 @@ def _with_model_overrides(instance, args):
             value = cfgfile.get(key)
         if value is not None:
             overrides["lam" if key == "lambda" else key] = value
-    if overrides:
-        instance = instance.with_params(**overrides)
-    return instance, cfgfile
+    return replace(params, **overrides), cfgfile
 
 
 def _load_instance(args):
-    return _with_model_overrides(parse_timetable(_read(args.timetable)), args)
+    instance = parse_timetable(_read(args.timetable))
+    params, cfgfile = _with_model_overrides(instance.params, args)
+    if params != instance.params:  # a new instance re-runs the checks and their warnings
+        instance = replace(instance, params=params)
+    return instance, cfgfile
 
 
 def _swarm_config(args, cfgfile: dict[str, float]) -> tuple[SwarmConfig, float, int]:
@@ -219,12 +222,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    instance, _ = _with_model_overrides(
-        generate_instance(args.pairs, args.turnbacks, args.seed), args
-    )
-    # the trains do not depend on the parameters; generating again under the
-    # final ones refuses a pair that cannot fit their windows
-    instance = generate_instance(args.pairs, args.turnbacks, args.seed, instance.params)
+    params, _ = _with_model_overrides(ModelParams(), args)
+    instance = generate_instance(args.pairs, args.turnbacks, args.seed, params)
     text = render_timetable(instance)
     if args.out:
         _write(args.out, text)

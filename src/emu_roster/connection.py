@@ -4,47 +4,30 @@ Two trains can connect only when the first arrives where the second departs.
 The connection time is the departure-minus-arrival gap, pushed to the next
 service day (+1440 min) whenever the same-day gap falls below the minimum
 turnaround. Pairs meeting at the depot-adjacent station may additionally
-carry a maintenance arc.
+carry a maintenance arc. build_matrices is the one place this rule is
+computed; everything else reads its result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .timetable import MINUTES_PER_DAY, TimetableInstance, Train
-
-# Sentinel for "these trains cannot connect". Deliberately not a large finite
-# number: arithmetic on None raises immediately instead of producing a
-# plausible-looking total.
-INFEASIBLE = None
+from .timetable import MINUTES_PER_DAY, TimetableInstance
 
 
-def connection_time(vi: Train, vj: Train, t_connect: int) -> int | None:
-    """Minutes an EMU waits between serving vi and then vj, or INFEASIBLE.
+class TrainTables(NamedTuple):
+    """Per-train facts the constructor reads at every step, as plain lists
+    indexed by train id (entry 0 is padding, so train k sits at entry k)."""
 
-    Same-station pairs always connect: gaps shorter than t_connect roll over
-    to the following day, so the result lies in [t_connect, t_connect + 1440).
-    """
-    if vi.arr_station != vj.dep_station:
-        return INFEASIBLE
-    gap = vj.dep_time - vi.arr_time
-    if gap >= t_connect:
-        return gap
-    return gap + MINUTES_PER_DAY
-
-
-def maintenance_eligible(vi: Train, vj: Train, maint_stations: frozenset[str]) -> int:
-    """1 when a maintenance slot may separate vi and vj, else 0.
-
-    Requires the handover station (vi's arrival = vj's departure) to be the
-    depot-adjacent one.
-    """
-    if vi.arr_station == vj.dep_station and vj.dep_station in maint_stations:
-        return 1
-    return 0
+    mileage: list[float]
+    travel: list[int]
+    arr_at_depot: list[bool]
+    arr_station: list[str]
+    oversize: int | None  # first train that alone breaks a cycle window
 
 
 @dataclass(frozen=True)
@@ -52,16 +35,23 @@ class ConnectionMatrices:
     """Dense n x n connection data, indexed by train id - 1.
 
     conn_time is float64 with NaN marking infeasible pairs (including the
-    diagonal); theta is int8 in {0, 1}. Use feasible()/time() for scalar
-    access; time() refuses infeasible entries. departures maps each station
-    to the ids of the trains leaving it, ascending: the trains connectable
-    after train i are exactly departures[i's arrival station] minus i.
+    diagonal); theta is int8 in {0, 1}; both are read-only. Use
+    feasible()/time() for scalar access; time() refuses infeasible entries.
+    departures maps each station to the ids of the trains leaving it,
+    ascending: the trains connectable after train i are exactly
+    departures[i's arrival station] minus i. tables holds the constructor's
+    per-train lists.
+
+    Matrices belong to the instance they were built from: t_connect, the
+    depot station and the cycle windows are baked in, so an instance from
+    with_params needs its own build_matrices call.
     """
 
     conn_time: np.ndarray
     theta: np.ndarray
     n: int
     departures: dict[str, tuple[int, ...]]
+    tables: TrainTables
 
     def feasible(self, i: int, j: int) -> bool:
         return not np.isnan(self.conn_time[i, j])
@@ -98,28 +88,53 @@ class ConnectionMatrices:
 
 
 def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
-    """Evaluate connection time and maintenance eligibility for every pair."""
+    """Derive the connection network and the constructor's per-train tables.
+
+    Pair (i, j) connects when i arrives where j departs; its wait is
+    dep_j - arr_i, plus 1440 when that falls below t_connect. It is
+    maintenance-eligible when that shared station is the depot. A train never
+    arrives where it departs, so the diagonal never connects.
+    """
+    trains = instance.trains
     n = instance.n
+    params = instance.params
+    depot = instance.maint_station
+    departures: dict[str, list[int]] = {}
+    for t in trains:  # ordered by id
+        departures.setdefault(t.dep_station, []).append(t.id)
+
+    # Only the trains leaving where train i arrives can follow it, so the walk
+    # visits the connecting pairs alone. At the n <= 10 of the exact oracle a
+    # handful of NumPy array expressions over all n x n pairs costs more than
+    # this walk, because every call pays NumPy's fixed overhead.
     conn = np.full((n, n), np.nan)
     theta = np.zeros((n, n), dtype=np.int8)
-    t_connect = instance.params.t_connect
-    maint = instance.maint_stations
-    for i, vi in enumerate(instance.trains):
-        for j, vj in enumerate(instance.trains):
-            if i == j:
-                continue
-            c = connection_time(vi, vj, t_connect)
-            if c is not INFEASIBLE:
-                conn[i, j] = c
-            theta[i, j] = maintenance_eligible(vi, vj, maint)
+    t_connect = params.t_connect
+    dep_time = [0] + [t.dep_time for t in trains]  # by id
+    for i, vi in enumerate(trains):
+        at_depot = vi.arr_station == depot
+        for j in departures[vi.arr_station]:
+            wait = dep_time[j] - vi.arr_time
+            conn[i, j - 1] = wait if wait >= t_connect else wait + MINUTES_PER_DAY
+            if at_depot:
+                theta[i, j - 1] = 1
     conn.setflags(write=False)
     theta.setflags(write=False)
-    departures: dict[str, list[int]] = {}
-    for t in instance.trains:  # ordered by id
-        departures.setdefault(t.dep_station, []).append(t.id)
+
+    max_l, max_t = params.max_mileage, params.max_time
+    oversize = next(
+        (t.id for t in trains if t.mileage > max_l or t.travel_time > max_t), None
+    )
     return ConnectionMatrices(
         conn_time=conn,
         theta=theta,
         n=n,
         departures={s: tuple(ids) for s, ids in departures.items()},
+        tables=TrainTables(
+            mileage=[0.0] + [t.mileage for t in trains],
+            travel=[0] + [t.travel_time for t in trains],
+            arr_at_depot=[False] + [t.arr_station == depot for t in trains],
+            arr_station=[""] + [t.arr_station for t in trains],
+            oversize=oversize,
+        ),
     )

@@ -11,7 +11,7 @@ each attempt keeps, per station, the id-sorted list of unassigned trains
 leaving it, so a step costs O(departures at that station) rather than a sort
 of every unassigned train, and draws from exactly the same candidate lists.
 The per-train lists a step reads, and the oversize-train check, come from
-the instance's train_tables, built once per instance; an attempt copies only
+the matrices' tables, built once per instance; an attempt copies only
 the departure lists and a placed flag per train id. The only randomness an
 attempt takes is rng.random(), so any source of uniform doubles with that
 method serves, such as solve's block-drawn Philox streams.
@@ -85,7 +85,7 @@ def build_cycle(
     Illegal proposals fall back to the normal random step.
     """
     n = instance.n
-    mileage, travel, arr_at_depot, arr_station, oversize = instance.train_tables
+    mileage, travel, arr_at_depot, arr_station, oversize = matrices.tables
     if oversize is not None:
         raise InfeasibleError(
             f"train {oversize} alone exceeds a maintenance cycle allowance; no plan exists"
@@ -196,7 +196,15 @@ def construct_with_stats(
     max_restarts: int = 100,
     maint_prob: float = 0.5,
 ) -> tuple[CirculationPlan, int]:
-    """Run build_cycle until it succeeds; returns (plan, failed attempts)."""
+    """Run build_cycle until it succeeds; returns (plan, failed attempts).
+
+    Raises ValueError, before any draw, for a negative max_restarts or a
+    maint_prob outside [0, 1] (NaN included).
+    """
+    if max_restarts < 0:
+        raise ValueError(f"max_restarts must be >= 0, got {max_restarts!r}")
+    if not 0.0 <= maint_prob <= 1.0:
+        raise ValueError(f"maint_prob must lie in [0, 1], got {maint_prob!r}")
     failed = 0
     while True:
         try:

@@ -161,7 +161,9 @@ def decode(
     try:
         return build_cycle(instance, matrices, rng, maint_prob, proposal=position), 0
     except DeadEnd:
-        plan, failed = construct_with_stats(instance, matrices, rng, max_restarts, maint_prob)
+        plan, failed = construct_with_stats(
+            instance, matrices, rng, max_restarts=max_restarts, maint_prob=maint_prob
+        )
         return plan, failed + 1
 
 
@@ -240,9 +242,11 @@ def solve(
         feasible_now = 0
         for m, rng in enumerate(streams):
             if k:
-                plan, failed = decode(proposed[m], instance, matrices, rng, maint_prob, max_restarts)
+                plan, failed = decode(proposed[m], instance, matrices, rng,
+                                      maint_prob=maint_prob, max_restarts=max_restarts)
             else:
-                plan, failed = construct_with_stats(instance, matrices, rng, max_restarts, maint_prob)
+                plan, failed = construct_with_stats(instance, matrices, rng,
+                                                    max_restarts=max_restarts, maint_prob=maint_prob)
             restarts += failed
             rotations = decode_rotations(plan, instance, matrices)
             fit = fitness_from_parts(rotations, params)

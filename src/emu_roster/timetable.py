@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -112,17 +110,6 @@ class Train:
             raise TimetableError(f"train {self.id}: travel_time must be positive")
 
 
-class TrainTables(NamedTuple):
-    """Per-train facts the constructor reads at every step, as plain lists
-    indexed by train id (entry 0 is padding, so train k sits at entry k)."""
-
-    mileage: list[float]
-    travel: list[int]
-    arr_at_depot: list[bool]
-    arr_station: list[str]
-    oversize: int | None  # first train that alone breaks a cycle window
-
-
 @dataclass(frozen=True)
 class TimetableInstance:
     """A validated daily timetable: trains, stations, depot station, params.
@@ -156,24 +143,6 @@ class TimetableInstance:
 
     def with_params(self, **overrides) -> "TimetableInstance":
         return replace(self, params=replace(self.params, **overrides))
-
-    @cached_property
-    def train_tables(self) -> TrainTables:
-        """Built on first use and kept: an instance never changes, and
-        with_params returns a new instance with its own tables."""
-        trains = self.trains
-        depot = self.maint_station
-        max_l, max_t = self.params.max_mileage, self.params.max_time
-        oversize = next(
-            (t.id for t in trains if t.mileage > max_l or t.travel_time > max_t), None
-        )
-        return TrainTables(
-            mileage=[0.0] + [t.mileage for t in trains],
-            travel=[0] + [t.travel_time for t in trains],
-            arr_at_depot=[False] + [t.arr_station == depot for t in trains],
-            arr_station=[""] + [t.arr_station for t in trains],
-            oversize=oversize,
-        )
 
 
 def check_instance(trains, stations, maint_stations, params) -> None:
@@ -393,7 +362,7 @@ def generate_instance(
         out = Train(next_id, depot, out_dep, station, out_dep + travel, mileage, travel)
         back_dep = out.arr_time + turnaround
         back = Train(next_id + 1, station, back_dep, depot, back_dep + travel, mileage, travel)
-        # the rollover rule of connection.connection_time
+        # the rollover rule of connection.build_matrices
         wait = turnaround if turnaround >= params.t_connect else turnaround + MINUTES_PER_DAY
         if 2 * mileage > params.max_mileage or 2 * travel + wait > params.max_time:
             raise ValueError(

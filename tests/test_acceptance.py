@@ -138,20 +138,28 @@ def test_maintenance_cycle_conformance(swarm_suite):
 
 @criterion("formula unit values: connection cases, accumulation, inertia, rounding, boundary")
 def test_formula_unit_values():
-    from emu_roster import connection_time
+    from emu_roster import CirculationPlan, ModelParams, TimetableInstance
 
     # three-way connection-time case split, hand evaluated
     vi = Train(1, "B", 8 * 60, "A", 10 * 60, 100.0, 120)
     direct = Train(2, "A", 10 * 60 + 40, "B", 12 * 60, 100.0, 80)
     tight = Train(3, "A", 10 * 60 + 10, "B", 12 * 60, 100.0, 110)
     away = Train(4, "C", 10 * 60 + 40, "B", 12 * 60, 100.0, 80)
-    assert connection_time(vi, direct, 20) == 40
-    assert connection_time(vi, tight, 20) == 1450
-    assert connection_time(vi, away, 20) is None
+    cases = TimetableInstance(
+        trains=(vi, direct, tight, away,
+                # two more trains balance the flow at A and C
+                Train(5, "B", 13 * 60, "A", 15 * 60, 100.0, 120),
+                Train(6, "B", 13 * 60, "C", 15 * 60, 100.0, 120)),
+        stations=frozenset({"A", "B", "C"}),
+        maint_stations=frozenset({"B"}),
+        params=ModelParams(t_connect=20),
+    )
+    conn = build_matrices(cases).conn_time
+    assert conn[0, 1] == 40
+    assert conn[0, 2] == 1450
+    assert np.isnan(conn[0, 3])
 
     # accumulation: a maintenance arc resets, an ordinary arc adds wait + travel
-    from emu_roster import CirculationPlan, ModelParams, TimetableInstance
-
     pair = TimetableInstance(
         trains=(vi, Train(2, "A", 10 * 60 + 40, "B", 12 * 60, 500.0, 80)),
         stations=frozenset({"A", "B"}),

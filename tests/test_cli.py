@@ -31,6 +31,17 @@ def test_gen_stdout_deterministic(capsys):
     assert out1 == out2
 
 
+def test_gen_refuses_a_pair_beyond_configured_allowance(tmp_path, capsys):
+    cfgf = tmp_path / "tight.cfg"
+    cfgf.write_text("l_cycle=1500\n")
+    code, out, err = run(capsys, "gen", "--pairs", "4", "--seed", "1", "--config", str(cfgf))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: pair 2 (trains 3 and 4) needs 2287.0 km and 857 min as one rotation, "
+        "beyond the allowance of 1575.0 km and 3024 min\n"
+    )
+
+
 def test_solve_fig1_end_to_end(tmp_path, capsys):
     plan_path = tmp_path / "plan.txt"
     code, out, err = run(capsys, "solve", FIG1, "--out", str(plan_path),

@@ -1,12 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from emu_roster import (
-    INFEASIBLE,
+    ModelParams,
+    TimetableInstance,
     Train,
     build_matrices,
-    connection_time,
-    maintenance_eligible,
+    generate_instance,
 )
 
 T_CONNECT = 20
@@ -18,22 +20,36 @@ def train(tid, dep, dep_hm, arr, arr_hm, km=300.0):
     return Train(tid, dep, dep_t, arr, arr_t, km, arr_t - dep_t)
 
 
+def network(*trains, maint="B"):
+    """build_matrices of a flow-balanced instance made of trains."""
+    stations = {t.dep_station for t in trains} | {t.arr_station for t in trains}
+    return build_matrices(
+        TimetableInstance(
+            trains=trains,
+            stations=frozenset(stations),
+            maint_stations=frozenset({maint}),
+            params=ModelParams(t_connect=T_CONNECT),
+        )
+    )
+
+
 def test_station_mismatch_is_infeasible():
-    vi = train(1, "A", "08:00", "B", "10:00")
-    vj = train(2, "C", "10:30", "A", "12:00")
-    assert connection_time(vi, vj, T_CONNECT) is INFEASIBLE
+    m = network(
+        train(1, "B", "08:00", "A", "10:00"),
+        train(2, "C", "10:30", "B", "12:00"),
+        train(3, "A", "12:30", "C", "14:00"),
+    )
+    assert np.isnan(m.conn_time[0, 1])  # 1 arrives at A, 2 leaves C
 
 
 def test_same_day_connection():
-    vi = train(1, "B", "08:00", "A", "10:00")
-    vj = train(2, "A", "10:40", "B", "12:00")
-    assert connection_time(vi, vj, T_CONNECT) == 40
+    m = network(train(1, "B", "08:00", "A", "10:00"), train(2, "A", "10:40", "B", "12:00"))
+    assert m.conn_time[0, 1] == 40
 
 
 def test_too_tight_rolls_to_next_day():
-    vi = train(1, "B", "08:00", "A", "10:00")
-    vj = train(2, "A", "10:10", "B", "12:00")
-    assert connection_time(vi, vj, T_CONNECT) == 1450
+    m = network(train(1, "B", "08:00", "A", "10:00"), train(2, "A", "10:10", "B", "12:00"))
+    assert m.conn_time[0, 1] == 1450
 
 
 def test_result_bounds_property():
@@ -46,35 +62,67 @@ def test_result_bounds_property():
         dep = int(rng.integers(d + 1, 1440))
         vi = Train(1, "B", a, "A", arr, 100.0, max(arr - a, 1))
         vj = Train(2, "A", d, "B", dep, 100.0, max(dep - d, 1))
-        c = connection_time(vi, vj, T_CONNECT)
-        assert c is not INFEASIBLE
+        c = network(vi, vj).conn_time[0, 1]
+        assert not np.isnan(c)
         assert T_CONNECT <= c < T_CONNECT + 1440
 
 
 def test_exactly_one_case_applies():
     # the three outcomes partition all pairs: mismatch, direct, wrapped
-    vi = train(1, "B", "08:00", "A", "10:00")
-    direct = train(2, "A", "10:40", "B", "12:00")
-    wrapped = train(3, "A", "10:05", "B", "12:00")
-    elsewhere = train(4, "C", "10:40", "B", "12:00")
-    outcomes = [
-        connection_time(vi, vj, T_CONNECT) for vj in (direct, wrapped, elsewhere)
-    ]
+    m = network(
+        train(1, "B", "08:00", "A", "10:00"),
+        train(2, "A", "10:40", "B", "12:00"),  # direct
+        train(3, "A", "10:05", "B", "12:00"),  # wrapped
+        train(4, "C", "10:40", "B", "12:00"),  # elsewhere
+        train(5, "B", "13:00", "A", "15:00"),  # 5 and 6 balance A and C
+        train(6, "B", "13:00", "C", "15:00"),
+    )
+    outcomes = m.conn_time[0, 1:4]
     assert outcomes[0] == 40
     assert outcomes[1] == 1445
-    assert outcomes[2] is INFEASIBLE
+    assert np.isnan(outcomes[2])
 
 
 def test_maintenance_eligibility():
-    maint = frozenset({"C"})
-    vi = train(1, "A", "08:00", "C", "10:00")
-    vj = train(2, "C", "10:40", "A", "12:00")
-    assert maintenance_eligible(vi, vj, maint) == 1
-    va = train(3, "C", "08:00", "A", "10:00")
-    vb = train(4, "A", "10:40", "C", "12:00")
-    assert maintenance_eligible(va, vb, maint) == 0  # meet at A, not depot
-    vc = train(5, "B", "10:40", "C", "12:00")
-    assert maintenance_eligible(va, vc, maint) == 0  # stations differ
+    m = network(
+        train(1, "A", "08:00", "C", "10:00"),
+        train(2, "C", "10:40", "A", "12:00"),
+        train(3, "B", "10:40", "C", "12:00"),
+        train(4, "C", "13:00", "B", "15:00"),
+        maint="C",
+    )
+    assert m.theta[0, 1] == 1  # hand over at the depot C
+    assert m.theta[1, 0] == 0  # meet at A, not depot
+    assert m.theta[1, 2] == 0  # stations differ
+    # eligible exactly where a train arriving at C hands over to one leaving C
+    assert {(i + 1, j + 1) for i, j in np.argwhere(m.theta == 1)} == {
+        (1, 2), (1, 4), (3, 2), (3, 4)
+    }
+
+
+# SHA-256 of dump_tsv("conn") + dump_tsv("theta"), recorded when
+# build_matrices still evaluated every pair in a Python loop. At t_connect=180
+# most waits at the turnbacks roll over to the next day.
+GOLDEN_MATRICES = {
+    "n6": ((3, 2, 1, ModelParams()),
+           "522a67e1d7833340e8eee51733c8a8deb439c28353ecd0cafce6ee1c743241de"),
+    "n100": ((50, 4, 2, ModelParams()),
+             "52b832d606ba8ee811257490fa0dcfdfe8ea0d6377e88de2125268de00ebcc4a"),
+    "n500": ((250, 6, 3, ModelParams()),
+             "0231a8fded8b2a2301841e0ed40fce8b73dd5a9521e8818536226641f22bc369"),
+    "n100_t_connect_180": ((50, 3, 4, ModelParams(t_connect=180)),
+                           "e68dd8a66dd3aeb38cb984bf124096755f168c29bec61d75a4321230ff82f43c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_MATRICES))
+def test_golden_matrices(case):
+    (pairs, turnbacks, seed, params), sha = GOLDEN_MATRICES[case]
+    m = build_matrices(generate_instance(pairs, turnbacks, seed, params))
+    text = m.dump_tsv("conn") + m.dump_tsv("theta")
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+    assert (m.conn_time.dtype, m.theta.dtype) == (np.float64, np.int8)
+    assert not m.conn_time.flags.writeable and not m.theta.flags.writeable
 
 
 def test_fig1_theta_entries(fig1, fig1_matrices):

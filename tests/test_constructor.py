@@ -96,17 +96,36 @@ def test_oversized_train_is_globally_infeasible():
 def test_instance_tables_never_go_stale():
     inst = generate_instance(4, 2, seed=3)
     m = build_matrices(inst)
-    construct(inst, m, np.random.default_rng(0))  # builds inst's tables
-    assert "train_tables" in vars(inst)
     longest = max(t.mileage for t in inst.trains)
     with pytest.warns(TimetableWarning):
         tight = inst.with_params(l_cycle=longest / 1.1)  # allowance below one train
     assert tight.params.max_mileage < longest
-    with pytest.raises(InfeasibleError, match="alone exceeds"):
-        construct(tight, build_matrices(tight), np.random.default_rng(0))
-    # the original instance keeps its own tables and still constructs
-    assert inst.train_tables.oversize is None
+    tight_m = build_matrices(tight)
+    oversize = tight_m.tables.oversize
+    assert oversize == next(t.id for t in tight.trains if t.mileage > tight.params.max_mileage)
+    with pytest.raises(InfeasibleError, match=f"train {oversize} alone exceeds"):
+        construct(tight, tight_m, np.random.default_rng(0))
+    # the original instance's matrices keep their own tables and still construct
+    assert m.tables.oversize is None
     assert validate(construct(inst, m, np.random.default_rng(0)), inst, m).ok
+
+
+@pytest.mark.parametrize(
+    "knob, message",
+    [
+        ({"max_restarts": -3}, "max_restarts must be >= 0, got -3"),
+        ({"maint_prob": 1.5}, r"maint_prob must lie in \[0, 1\], got 1.5"),
+        ({"maint_prob": -0.1}, r"maint_prob must lie in \[0, 1\], got -0.1"),
+        ({"maint_prob": float("nan")}, r"maint_prob must lie in \[0, 1\], got nan"),
+    ],
+    ids=["restarts-3", "prob1.5", "prob-0.1", "prob-nan"],
+)
+def test_construct_rejects_out_of_range_knobs(fig1, fig1_matrices, knob, message):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        construct(fig1, fig1_matrices, rng, **knob)
+    assert rng.bit_generator.state == before  # refused before any draw
 
 
 def test_restart_rate_stays_low():

@@ -363,3 +363,10 @@ def test_golden_swarm_runs(name):
     res = solve(inst, m, SwarmConfig(**dict(cfg)))
     text = render_plan(res.best_plan, inst, m) + repr(res.trace) + str(res.restarts)
     assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("knob", [{"maint_prob": 1.5}, {"max_restarts": -1}],
+                         ids=["prob1.5", "restarts-1"])
+def test_solve_rejects_out_of_range_knobs(fig1, fig1_matrices, knob):
+    with pytest.raises(ValueError, match="must"):
+        solve(fig1, fig1_matrices, SwarmConfig(n_particles=4, k_max=5), **knob)

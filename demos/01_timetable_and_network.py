@@ -3,8 +3,6 @@
 Run from the repository root:  python3 demos/01_timetable_and_network.py
 """
 
-import numpy as np
-
 from emu_roster import build_matrices, generate_instance, render_timetable
 
 # A synthetic daily timetable: 3 out-and-back train pairs through depot
@@ -25,7 +23,7 @@ print(matrices.dump_tsv("conn"))
 print("--- maintenance eligibility (1 = this handover can host a depot visit) ---")
 print(matrices.dump_tsv("theta"))
 
-feasible = np.count_nonzero(~np.isnan(matrices.conn_time))
-print(f"{feasible} feasible connections out of {instance.n * (instance.n - 1)} ordered pairs")
-print(f"waiting minutes range: {np.nanmin(matrices.conn_time):.0f}"
-      f" .. {np.nanmax(matrices.conn_time):.0f}")
+# conn_rows holds the same network as plain lists, None where no connection is
+waits = [w for row in matrices.conn_rows for w in row if w is not None]
+print(f"{len(waits)} feasible connections out of {instance.n * (instance.n - 1)} ordered pairs")
+print(f"waiting minutes range: {min(waits)} .. {max(waits)}")

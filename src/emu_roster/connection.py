@@ -18,77 +18,79 @@ import numpy as np
 
 from .timetable import MINUTES_PER_DAY, TimetableInstance
 
+# Every wait lies in [0, 2 * 1440): a same-day gap plus at most one day.
+# build_matrices stores the int objects of this tuple, so the n x n waits of
+# a network share at most 2,880 objects instead of holding one each.
+_WAITS = tuple(range(2 * MINUTES_PER_DAY))
+
 
 class TrainTables(NamedTuple):
-    """Per-train facts the constructor reads at every step, as plain lists
-    indexed by train id (entry 0 is padding, so train k sits at entry k)."""
+    """Per-train facts the constructor and the plan walk read at every step,
+    as plain lists indexed by train id (entry 0 is padding, so train k sits at
+    entry k)."""
 
     mileage: list[float]
     travel: list[int]
     arr_at_depot: list[bool]
     arr_station: list[str]
-    oversize: int | None  # first train that alone breaks a cycle window
 
 
 @dataclass(frozen=True)
 class ConnectionMatrices:
-    """Dense n x n connection data, indexed by train id - 1.
+    """The connection network as plain lists, indexed by train id - 1.
 
-    conn_time is float64 with NaN marking infeasible pairs (including the
-    diagonal); theta is int8 in {0, 1}; both are read-only. Use
-    feasible()/time() for scalar access; time() refuses infeasible entries.
-    departures maps each station to the ids of the trains leaving it,
-    ascending: the trains connectable after train i are exactly
-    departures[i's arrival station] minus i. tables holds the constructor's
-    per-train lists.
+    conn_rows[i][j] is the wait in minutes from train i + 1 to train j + 1,
+    or None where the pair cannot connect (the diagonal included). It is the
+    one stored form: scalar lookups in the constructive inner loop are several
+    times faster on lists than on an ndarray. A connecting pair is
+    maintenance-eligible exactly when tables.arr_at_depot[i + 1] holds.
+    time() refuses pairs that cannot connect. departures maps each station to
+    the ids of the trains leaving it, ascending: the trains connectable after
+    train i are exactly departures[i's arrival station] minus i. tables holds
+    the per-train lists.
 
     Matrices belong to the instance they were built from: t_connect, the
     depot station and the cycle windows are baked in, so an instance from
     with_params needs its own build_matrices call.
     """
 
-    conn_time: np.ndarray
-    theta: np.ndarray
-    n: int
+    conn_rows: list[list[int | None]]
     departures: dict[str, tuple[int, ...]]
     tables: TrainTables
 
-    def feasible(self, i: int, j: int) -> bool:
-        return not np.isnan(self.conn_time[i, j])
-
     def time(self, i: int, j: int) -> int:
-        v = self.conn_time[i, j]
-        if np.isnan(v):
+        wait = self.conn_rows[i][j]
+        if wait is None:
             raise ValueError(f"trains {i + 1} and {j + 1} cannot connect")
-        return int(v)
+        return wait
 
     def dump_tsv(self, which: str = "conn") -> str:
         """Tab-separated dump with 'INF' in place of infeasible entries."""
         if which == "conn":
             rows = [
-                "\t".join("INF" if np.isnan(v) else str(int(v)) for v in row)
-                for row in self.conn_time
+                "\t".join("INF" if w is None else str(w) for w in row) for row in self.conn_rows
             ]
         elif which == "theta":
-            rows = ["\t".join(str(int(v)) for v in row) for row in self.theta]
+            at_depot = self.tables.arr_at_depot
+            rows = [
+                "\t".join("1" if at_depot[i] and w is not None else "0" for w in row)
+                for i, row in enumerate(self.conn_rows, start=1)
+            ]
         else:
             raise ValueError("which must be 'conn' or 'theta'")
         return "\n".join(rows) + "\n"
 
     @cached_property
-    def conn_rows(self) -> list[list[int | None]]:
-        """Connection times as plain nested lists (None = infeasible).
-
-        Scalar lookups in the constructive inner loop are several times
-        faster on lists than on the ndarray. Built on first use rather than
-        in build_matrices, so matrices that nothing walks do not hold n x n
-        Python ints.
-        """
-        return [[None if v != v else int(v) for v in row] for row in self.conn_time.tolist()]
+    def conn_time(self) -> np.ndarray:
+        """conn_rows as a read-only float64 array with NaN where a pair cannot
+        connect, built on first use for array code outside the package."""
+        conn = np.array(self.conn_rows, dtype=np.float64)
+        conn.setflags(write=False)
+        return conn
 
 
 def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
-    """Derive the connection network and the constructor's per-train tables.
+    """Derive the connection network and the per-train tables.
 
     Pair (i, j) connects when i arrives where j departs; its wait is
     dep_j - arr_i, plus 1440 when that falls below t_connect. It is
@@ -97,7 +99,6 @@ def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
     """
     trains = instance.trains
     n = instance.n
-    params = instance.params
     depot = instance.maint_station
     departures: dict[str, list[int]] = {}
     for t in trains:  # ordered by id
@@ -107,34 +108,24 @@ def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
     # visits the connecting pairs alone. At the n <= 10 of the exact oracle a
     # handful of NumPy array expressions over all n x n pairs costs more than
     # this walk, because every call pays NumPy's fixed overhead.
-    conn = np.full((n, n), np.nan)
-    theta = np.zeros((n, n), dtype=np.int8)
-    t_connect = params.t_connect
+    t_connect = instance.params.t_connect
     dep_time = [0] + [t.dep_time for t in trains]  # by id
-    for i, vi in enumerate(trains):
-        at_depot = vi.arr_station == depot
+    rows: list[list[int | None]] = []
+    for vi in trains:
+        row: list[int | None] = [None] * n
+        arr = vi.arr_time
         for j in departures[vi.arr_station]:
-            wait = dep_time[j] - vi.arr_time
-            conn[i, j - 1] = wait if wait >= t_connect else wait + MINUTES_PER_DAY
-            if at_depot:
-                theta[i, j - 1] = 1
-    conn.setflags(write=False)
-    theta.setflags(write=False)
+            wait = dep_time[j] - arr
+            row[j - 1] = _WAITS[wait if wait >= t_connect else wait + MINUTES_PER_DAY]
+        rows.append(row)
 
-    max_l, max_t = params.max_mileage, params.max_time
-    oversize = next(
-        (t.id for t in trains if t.mileage > max_l or t.travel_time > max_t), None
-    )
     return ConnectionMatrices(
-        conn_time=conn,
-        theta=theta,
-        n=n,
+        conn_rows=rows,
         departures={s: tuple(ids) for s, ids in departures.items()},
         tables=TrainTables(
             mileage=[0.0] + [t.mileage for t in trains],
             travel=[0] + [t.travel_time for t in trains],
             arr_at_depot=[False] + [t.arr_station == depot for t in trains],
             arr_station=[""] + [t.arr_station for t in trains],
-            oversize=oversize,
         ),
     )

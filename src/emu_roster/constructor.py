@@ -10,11 +10,11 @@ Candidates come from the per-station departure index of ConnectionMatrices:
 each attempt keeps, per station, the id-sorted list of unassigned trains
 leaving it, so a step costs O(departures at that station) rather than a sort
 of every unassigned train, and draws from exactly the same candidate lists.
-The per-train lists a step reads, and the oversize-train check, come from
-the matrices' tables, built once per instance; an attempt copies only
-the departure lists and a placed flag per train id. The only randomness an
-attempt takes is rng.random(), so any source of uniform doubles with that
-method serves, such as solve's block-drawn Philox streams.
+The per-train lists a step reads come from the matrices' tables, built once
+per instance, and the oversize-train check from the instance itself; an
+attempt copies only the departure lists and a placed flag per train id. The
+only randomness an attempt takes is rng.random(), so any source of uniform
+doubles with that method serves, such as solve's block-drawn Philox streams.
 
 The same stepping engine also serves the swarm decoder: a caller may supply
 a proposed train per position, which is taken whenever it is legal at that
@@ -85,11 +85,11 @@ def build_cycle(
     Illegal proposals fall back to the normal random step.
     """
     n = instance.n
-    mileage, travel, arr_at_depot, arr_station, oversize = matrices.tables
-    if oversize is not None:
+    if instance.oversize is not None:
         raise InfeasibleError(
-            f"train {oversize} alone exceeds a maintenance cycle allowance; no plan exists"
+            f"train {instance.oversize} alone exceeds a maintenance cycle allowance; no plan exists"
         )
+    mileage, travel, arr_at_depot, arr_station = matrices.tables
     params = instance.params
     max_l, max_t = params.max_mileage, params.max_time
     depot = instance.maint_station

@@ -42,27 +42,23 @@ def brute_force(
 
     params = instance.params
     max_l, max_t = params.max_mileage, params.max_time
-    conn = matrices.conn_time
-    theta = matrices.theta
-    mileage = [0.0] + [t.mileage for t in instance.trains]
-    travel = [0] + [t.travel_time for t in instance.trains]
+    rows = matrices.conn_rows
+    mileage, travel, arr_at_depot, arr_station = matrices.tables
 
-    depot_departures = [t.id for t in instance.trains if t.dep_station in instance.maint_stations]
+    depot_departures = matrices.departures.get(instance.maint_station)
     if not depot_departures:
         return OracleResult(None, None, 0, 0)
-    v_star = min(depot_departures)
+    v_star = depot_departures[0]  # ascending ids
 
-    succ: dict[int, list[int]] = {
-        i: [j for j in range(1, n + 1) if j != i and conn[i - 1, j - 1] == conn[i - 1, j - 1]]
-        for i in range(1, n + 1)
-    }
+    succ = {i: matrices.departures[arr_station[i]] for i in range(1, n + 1)}
 
     counters = {"plans": 0, "feasible": 0}
     best: list = [None]  # (objective, order, flags)
 
     def evaluate_cycle(cycle: list[int]) -> None:
-        arc_conn = [int(conn[cycle[d] - 1, cycle[(d + 1) % n] - 1]) for d in range(n)]
-        eligible = [d for d in range(n) if theta[cycle[d] - 1, cycle[(d + 1) % n] - 1] == 1]
+        # every arc of the cycle connects, so eligibility is the arrival at the depot
+        arc_conn = [rows[cycle[d] - 1][cycle[(d + 1) % n] - 1] for d in range(n)]
+        eligible = [d for d in range(n) if arr_at_depot[cycle[d]]]
         if not eligible:
             return
         total_conn = sum(arc_conn)
@@ -111,18 +107,18 @@ def brute_force(
 
     def extend(bc_l: float, bc_t: int) -> None:
         if len(path) == n:
-            if conn[path[-1] - 1, v_star - 1] == conn[path[-1] - 1, v_star - 1]:
+            if rows[path[-1] - 1][v_star - 1] is not None:
                 evaluate_cycle(path)
             return
         i = path[-1]
         for j in succ[i]:
             if j in used:
                 continue
-            if theta[i - 1, j - 1] == 1:
+            if arr_at_depot[i]:
                 nl, nt = mileage[j], travel[j]
             else:
                 nl = bc_l + mileage[j]
-                nt = bc_t + int(conn[i - 1, j - 1]) + travel[j]
+                nt = bc_t + rows[i - 1][j - 1] + travel[j]
             if nl > max_l or nt > max_t:
                 continue  # even with the latest possible maintenance, j overruns
             path.append(j)

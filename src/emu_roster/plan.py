@@ -51,7 +51,7 @@ class CirculationPlan:
         return sum(self.maint_after)
 
 
-def _walk(order, maint_after, instance: TimetableInstance, matrices: ConnectionMatrices):
+def _walk(order, maint_after, matrices: ConnectionMatrices):
     """Running totals along the loop, the one place they are computed.
 
     Yields (index, train id, wait before it, km, min) per position, where km
@@ -62,18 +62,17 @@ def _walk(order, maint_after, instance: TimetableInstance, matrices: ConnectionM
     cannot connect, and the totals then carry on as if it were 0.
     """
     conn_rows = matrices.conn_rows
-    trains = instance.trains
+    mileage, travel = matrices.tables.mileage, matrices.tables.travel
     km = mins = prev = 0
     fresh = True  # position 1, or the arc into this position is a maintenance arc
     for d, tid in enumerate(order):
-        train = trains[tid - 1]
         if fresh:
             wait = 0
-            km, mins = train.mileage, train.travel_time
+            km, mins = mileage[tid], travel[tid]
         else:
             wait = conn_rows[prev - 1][tid - 1]
-            km += train.mileage
-            mins += (wait or 0) + train.travel_time
+            km += mileage[tid]
+            mins += (wait or 0) + travel[tid]
         yield d, tid, wait, km, mins
         prev, fresh = tid, maint_after[d]
 
@@ -113,7 +112,7 @@ def decode_rotations(
 
     rotations: list[Rotation] = []
     start = waited = 0
-    for d, tid, wait, km, mins in _walk(order, flags, instance, matrices):
+    for d, tid, wait, km, mins in _walk(order, flags, matrices):
         if wait is None:
             raise InvalidPlanError(
                 f"trains {order[d - 1]} and {tid} cannot connect (position {d + 1})"
@@ -205,7 +204,8 @@ def validate(
         return ValidationReport(tuple(v))
 
     max_l, max_t = instance.params.max_mileage, instance.params.max_time
-    for d, tid, wait, km, mins in _walk(ids, plan.maint_after, instance, matrices):
+    conn_rows, arr_at_depot = matrices.conn_rows, matrices.tables.arr_at_depot
+    for d, tid, wait, km, mins in _walk(ids, plan.maint_after, matrices):
         if wait is None:
             v.append(Violation("CONN", f"trains {ids[d - 1]} and {tid} cannot connect", d + 1))
         if km > max_l:
@@ -214,7 +214,7 @@ def validate(
             v.append(Violation("EQ12", f"{mins} min since maintenance exceeds {max_t:.0f}", d + 1))
         if plan.maint_after[d]:
             nxt = ids[(d + 1) % n]
-            if matrices.theta[tid - 1, nxt - 1] != 1:
+            if not arr_at_depot[tid] or conn_rows[tid - 1][nxt - 1] is None:
                 v.append(
                     Violation("EQ10", f"maintenance between {tid} and {nxt} is not at the depot", d + 1)
                 )
@@ -302,7 +302,7 @@ def render_plan(
     """
     rotations = decode_rotations(plan, instance, matrices)
     lines = ["cycle"]
-    for d, tid, _, km, mins in _walk(plan.order, plan.maint_after, instance, matrices):
+    for d, tid, _, km, mins in _walk(plan.order, plan.maint_after, matrices):
         lines.append(
             f"pos {d + 1} train {tid} maint {plan.maint_after[d]} "
             f"accum_km {km:.1f} accum_min {mins}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -140,6 +141,14 @@ class TimetableInstance:
     @property
     def total_mileage(self) -> float:
         return sum(t.mileage for t in self.trains)
+
+    @cached_property
+    def oversize(self) -> int | None:
+        """The first train that alone breaks a cycle window, or None."""
+        max_l, max_t = self.params.max_mileage, self.params.max_time
+        return next(
+            (t.id for t in self.trains if t.mileage > max_l or t.travel_time > max_t), None
+        )
 
     def with_params(self, **overrides) -> "TimetableInstance":
         return replace(self, params=replace(self.params, **overrides))

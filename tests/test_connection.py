@@ -20,17 +20,41 @@ def train(tid, dep, dep_hm, arr, arr_hm, km=300.0):
     return Train(tid, dep, dep_t, arr, arr_t, km, arr_t - dep_t)
 
 
+def instance(*trains, maint="B"):
+    """A flow-balanced instance made of trains."""
+    stations = {t.dep_station for t in trains} | {t.arr_station for t in trains}
+    return TimetableInstance(
+        trains=trains,
+        stations=frozenset(stations),
+        maint_stations=frozenset({maint}),
+        params=ModelParams(t_connect=T_CONNECT),
+    )
+
+
 def network(*trains, maint="B"):
     """build_matrices of a flow-balanced instance made of trains."""
-    stations = {t.dep_station for t in trains} | {t.arr_station for t in trains}
-    return build_matrices(
-        TimetableInstance(
-            trains=trains,
-            stations=frozenset(stations),
-            maint_stations=frozenset({maint}),
-            params=ModelParams(t_connect=T_CONNECT),
-        )
-    )
+    return build_matrices(instance(*trains, maint=maint))
+
+
+def eligible(inst, m):
+    """Maintenance-eligible pairs (ids), read from the timetable itself: train
+    i arrives at the depot station and the pair connects."""
+    return {
+        (i, j)
+        for i in range(1, inst.n + 1)
+        for j in range(1, inst.n + 1)
+        if inst.train(i).arr_station == inst.maint_station and m.conn_rows[i - 1][j - 1] is not None
+    }
+
+
+def theta_ones(m):
+    """Pairs (ids) that dump_tsv("theta") marks eligible."""
+    return {
+        (i, j)
+        for i, line in enumerate(m.dump_tsv("theta").splitlines(), start=1)
+        for j, v in enumerate(line.split("\t"), start=1)
+        if v == "1"
+    }
 
 
 def test_station_mismatch_is_infeasible():
@@ -39,17 +63,17 @@ def test_station_mismatch_is_infeasible():
         train(2, "C", "10:30", "B", "12:00"),
         train(3, "A", "12:30", "C", "14:00"),
     )
-    assert np.isnan(m.conn_time[0, 1])  # 1 arrives at A, 2 leaves C
+    assert m.conn_rows[0][1] is None  # 1 arrives at A, 2 leaves C
 
 
 def test_same_day_connection():
     m = network(train(1, "B", "08:00", "A", "10:00"), train(2, "A", "10:40", "B", "12:00"))
-    assert m.conn_time[0, 1] == 40
+    assert m.conn_rows[0][1] == 40
 
 
 def test_too_tight_rolls_to_next_day():
     m = network(train(1, "B", "08:00", "A", "10:00"), train(2, "A", "10:10", "B", "12:00"))
-    assert m.conn_time[0, 1] == 1450
+    assert m.conn_rows[0][1] == 1450
 
 
 def test_result_bounds_property():
@@ -62,8 +86,8 @@ def test_result_bounds_property():
         dep = int(rng.integers(d + 1, 1440))
         vi = Train(1, "B", a, "A", arr, 100.0, max(arr - a, 1))
         vj = Train(2, "A", d, "B", dep, 100.0, max(dep - d, 1))
-        c = network(vi, vj).conn_time[0, 1]
-        assert not np.isnan(c)
+        c = network(vi, vj).conn_rows[0][1]
+        assert c is not None
         assert T_CONNECT <= c < T_CONNECT + 1440
 
 
@@ -77,27 +101,29 @@ def test_exactly_one_case_applies():
         train(5, "B", "13:00", "A", "15:00"),  # 5 and 6 balance A and C
         train(6, "B", "13:00", "C", "15:00"),
     )
-    outcomes = m.conn_time[0, 1:4]
+    outcomes = m.conn_rows[0][1:4]
     assert outcomes[0] == 40
     assert outcomes[1] == 1445
-    assert np.isnan(outcomes[2])
+    assert outcomes[2] is None
 
 
 def test_maintenance_eligibility():
-    m = network(
+    inst = instance(
         train(1, "A", "08:00", "C", "10:00"),
         train(2, "C", "10:40", "A", "12:00"),
         train(3, "B", "10:40", "C", "12:00"),
         train(4, "C", "13:00", "B", "15:00"),
         maint="C",
     )
-    assert m.theta[0, 1] == 1  # hand over at the depot C
-    assert m.theta[1, 0] == 0  # meet at A, not depot
-    assert m.theta[1, 2] == 0  # stations differ
+    m = build_matrices(inst)
+    pairs = eligible(inst, m)
+    assert (1, 2) in pairs  # hand over at the depot C
+    assert (2, 1) not in pairs  # meet at A, not depot
+    assert (2, 3) not in pairs  # stations differ
     # eligible exactly where a train arriving at C hands over to one leaving C
-    assert {(i + 1, j + 1) for i, j in np.argwhere(m.theta == 1)} == {
-        (1, 2), (1, 4), (3, 2), (3, 4)
-    }
+    assert pairs == {(1, 2), (1, 4), (3, 2), (3, 4)}
+    assert m.tables.arr_at_depot == [False, True, False, True, False]
+    assert theta_ones(m) == pairs
 
 
 # SHA-256 of dump_tsv("conn") + dump_tsv("theta"), recorded when
@@ -121,40 +147,45 @@ def test_golden_matrices(case):
     m = build_matrices(generate_instance(pairs, turnbacks, seed, params))
     text = m.dump_tsv("conn") + m.dump_tsv("theta")
     assert hashlib.sha256(text.encode()).hexdigest() == sha
-    assert (m.conn_time.dtype, m.theta.dtype) == (np.float64, np.int8)
-    assert not m.conn_time.flags.writeable and not m.theta.flags.writeable
+    # conn_time is a read-only float64 view, NaN exactly where no connection is
+    assert m.conn_time.dtype == np.float64
+    assert not m.conn_time.flags.writeable
+    none = np.array([[w is None for w in row] for row in m.conn_rows])
+    assert np.array_equal(np.isnan(m.conn_time), none)
+    assert np.array_equal(m.conn_time[~none], [w for row in m.conn_rows for w in row if w is not None])
+
+
+def test_rows_share_wait_objects():
+    # every wait of a network is one of 2,880 shared int objects, so n x n
+    # rows cost pointers, not one int each
+    m = build_matrices(generate_instance(250, 6, 3))
+    assert len({id(w) for row in m.conn_rows for w in row if w is not None}) <= 2880
 
 
 def test_fig1_theta_entries(fig1, fig1_matrices):
     # arrivals at C: 4, 8, 12; departures from C: 1, 5, 9
     expected = {(i, j) for i in (4, 8, 12) for j in (1, 5, 9)}
-    actual = {
-        (i + 1, j + 1)
-        for i in range(fig1.n)
-        for j in range(fig1.n)
-        if fig1_matrices.theta[i, j] == 1
-    }
-    assert actual == expected
+    assert eligible(fig1, fig1_matrices) == expected
+    assert theta_ones(fig1_matrices) == expected
 
 
 def test_two_train_matrix(two_train):
     m = build_matrices(two_train)
-    feasible = [(i, j) for i in range(2) for j in range(2) if m.feasible(i, j)]
+    feasible = [(i, j) for i in range(2) for j in range(2) if m.conn_rows[i][j] is not None]
     assert feasible == [(0, 1), (1, 0)]
     assert m.time(0, 1) == 60  # arrive X 10:00, leave X 11:00
     assert m.time(1, 0) == 8 * 60 - 13 * 60 + 1440  # overnight back through C
-    assert m.theta[1, 0] == 1 and m.theta[0, 1] == 0
+    assert eligible(two_train, m) == {(2, 1)}
 
 
 def test_theta_implies_feasible(fig1_matrices):
-    theta_ones = np.argwhere(fig1_matrices.theta == 1)
-    for i, j in theta_ones:
-        assert fig1_matrices.feasible(i, j)
+    for i, j in theta_ones(fig1_matrices):
+        assert fig1_matrices.conn_rows[i - 1][j - 1] is not None
 
 
-def test_diagonal_unused(fig1_matrices):
-    assert all(not fig1_matrices.feasible(i, i) for i in range(fig1_matrices.n))
-    assert all(fig1_matrices.theta[i, i] == 0 for i in range(fig1_matrices.n))
+def test_diagonal_unused(fig1, fig1_matrices):
+    assert all(fig1_matrices.conn_rows[i][i] is None for i in range(fig1.n))
+    assert all((i, i) not in theta_ones(fig1_matrices) for i in range(1, fig1.n + 1))
 
 
 def test_time_refuses_infeasible(fig1_matrices):
@@ -178,5 +209,5 @@ def test_dump_tsv_theta_and_bad_kind(two_train):
 
 def test_matrices_deterministic(fig1):
     a, b = build_matrices(fig1), build_matrices(fig1)
-    assert np.array_equal(a.conn_time, b.conn_time, equal_nan=True)
-    assert np.array_equal(a.theta, b.theta)
+    assert a.conn_rows == b.conn_rows
+    assert a.dump_tsv("theta") == b.dump_tsv("theta")

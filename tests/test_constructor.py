@@ -101,12 +101,15 @@ def test_instance_tables_never_go_stale():
         tight = inst.with_params(l_cycle=longest / 1.1)  # allowance below one train
     assert tight.params.max_mileage < longest
     tight_m = build_matrices(tight)
-    oversize = tight_m.tables.oversize
+    oversize = tight.oversize
     assert oversize == next(t.id for t in tight.trains if t.mileage > tight.params.max_mileage)
     with pytest.raises(InfeasibleError, match=f"train {oversize} alone exceeds"):
         construct(tight, tight_m, np.random.default_rng(0))
-    # the original instance's matrices keep their own tables and still construct
-    assert m.tables.oversize is None
+    # the check reads the instance, even with the matrices of the roomier one
+    with pytest.raises(InfeasibleError, match=f"train {oversize} alone exceeds"):
+        construct(tight, m, np.random.default_rng(0))
+    # the original instance keeps its own facts and still constructs
+    assert inst.oversize is None
     assert validate(construct(inst, m, np.random.default_rng(0)), inst, m).ok
 
 

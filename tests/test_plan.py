@@ -230,9 +230,11 @@ def model_ok(plan, instance, matrices):
         if sum(x.get((j, i), 0) for i in range(1, n + 1)) != 1:
             return False
     for (i, j), yij in y.items():
-        if yij > matrices.theta[i - 1, j - 1]:
+        connects = matrices.conn_rows[i - 1][j - 1] is not None
+        # eligible: train i arrives at the depot station and the pair connects
+        if yij > (connects and instance.train(i).arr_station == instance.maint_station):
             return False
-        if not matrices.feasible(i - 1, j - 1):
+        if not connects:
             return False
 
     succ = {i: j for (i, j) in x}

@@ -267,7 +267,8 @@ def test_decoded_plans_always_structurally_sound(fig1, fig1_matrices):
         for d in range(12):
             if plan.maint_after[d]:
                 i, j = plan.order[d], plan.order[(d + 1) % 12]
-                assert fig1_matrices.theta[i - 1, j - 1] == 1
+                assert fig1.train(i).arr_station == fig1.maint_station
+                assert fig1_matrices.conn_rows[i - 1][j - 1] is not None
         report = validate(plan, fig1, fig1_matrices)
         # only the mileage allowance may ever be broken
         assert report.tags() <= {"EQ11"}

@@ -1,11 +1,11 @@
 """Train connection network: pairwise connection times and depot eligibility.
 
 Two trains can connect only when the first arrives where the second departs.
-The connection time is the departure-minus-arrival gap, pushed to the next
-service day (+1440 min) whenever the same-day gap falls below the minimum
-turnaround. Pairs meeting at the depot-adjacent station may additionally
-carry a maintenance arc. build_matrices is the one place this rule is
-computed; everything else reads its result.
+The connection time is the departure-minus-arrival gap taken modulo a day,
+pushed to the next service day (+1440 min) whenever that falls below the
+minimum turnaround. Pairs meeting at the depot-adjacent station may
+additionally carry a maintenance arc. build_matrices is the one place this
+rule is computed; everything else reads its result.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .timetable import MINUTES_PER_DAY, TimetableInstance
 
-# Every wait lies in [0, 2 * 1440): a same-day gap plus at most one day.
+# Every wait lies in [0, 2 * 1440): a gap within one day plus at most one day.
 # build_matrices stores the int objects of this tuple, so the n x n waits of
 # a network share at most 2,880 objects instead of holding one each.
 _WAITS = tuple(range(2 * MINUTES_PER_DAY))
@@ -93,9 +93,10 @@ def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
     """Derive the connection network and the per-train tables.
 
     Pair (i, j) connects when i arrives where j departs; its wait is
-    dep_j - arr_i, plus 1440 when that falls below t_connect. It is
-    maintenance-eligible when that shared station is the depot. A train never
-    arrives where it departs, so the diagonal never connects.
+    (dep_j - arr_i) mod 1440, plus 1440 when that falls below t_connect, so it
+    lies in [t_connect, t_connect + 1440). It is maintenance-eligible when
+    that shared station is the depot. A train never arrives where it departs,
+    so the diagonal never connects.
     """
     trains = instance.trains
     n = instance.n
@@ -115,7 +116,7 @@ def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
         row: list[int | None] = [None] * n
         arr = vi.arr_time
         for j in departures[vi.arr_station]:
-            wait = dep_time[j] - arr
+            wait = (dep_time[j] - arr) % MINUTES_PER_DAY
             row[j - 1] = _WAITS[wait if wait >= t_connect else wait + MINUTES_PER_DAY]
         rows.append(row)
 

@@ -26,7 +26,7 @@ def naive_best(instance):
         ti, tj = trains[i], trains[j]
         if ti.arr_station != tj.dep_station:
             return None
-        gap = tj.dep_time - ti.arr_time
+        gap = (tj.dep_time - ti.arr_time) % 1440
         return gap if gap >= p.t_connect else gap + 1440
 
     starts = sorted(t.id for t in instance.trains if t.dep_station in depot)

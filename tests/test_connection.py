@@ -79,11 +79,14 @@ def test_too_tight_rolls_to_next_day():
 def test_result_bounds_property():
     # every feasible value lies in [t_connect, t_connect + 1440)
     rng = np.random.default_rng(0)
+    times = [(1320, 1435, 5, 60)]  # arrive 23:55, leave 00:05: 10 min, rolled to 1450
     for _ in range(1000):
         a = int(rng.integers(0, 1438))
         arr = int(rng.integers(a + 1, 1440))
         d = int(rng.integers(0, 1438))
         dep = int(rng.integers(d + 1, 1440))
+        times.append((a, arr, d, dep))
+    for a, arr, d, dep in times:
         vi = Train(1, "B", a, "A", arr, 100.0, max(arr - a, 1))
         vj = Train(2, "A", d, "B", dep, 100.0, max(dep - d, 1))
         c = network(vi, vj).conn_rows[0][1]
@@ -127,17 +130,19 @@ def test_maintenance_eligibility():
 
 
 # SHA-256 of dump_tsv("conn") + dump_tsv("theta"), recorded when
-# build_matrices still evaluated every pair in a Python loop. At t_connect=180
-# most waits at the turnbacks roll over to the next day.
+# build_matrices still evaluated every pair in a Python loop. n500 and
+# n100_t_connect_180 were re-recorded when a gap across midnight below
+# t_connect began to roll over to the next day (9 and 42 waits changed, each
+# by +1440). At t_connect=180 most waits at the turnbacks roll over.
 GOLDEN_MATRICES = {
     "n6": ((3, 2, 1, ModelParams()),
            "522a67e1d7833340e8eee51733c8a8deb439c28353ecd0cafce6ee1c743241de"),
     "n100": ((50, 4, 2, ModelParams()),
              "52b832d606ba8ee811257490fa0dcfdfe8ea0d6377e88de2125268de00ebcc4a"),
     "n500": ((250, 6, 3, ModelParams()),
-             "0231a8fded8b2a2301841e0ed40fce8b73dd5a9521e8818536226641f22bc369"),
+             "c90cfd0e70a221bd53577816229b77f6f5b11e3d95402718703d2ccb7f78f78e"),
     "n100_t_connect_180": ((50, 3, 4, ModelParams(t_connect=180)),
-                           "e68dd8a66dd3aeb38cb984bf124096755f168c29bec61d75a4321230ff82f43c"),
+                           "ae0124bba10f72bf91f6f75a9444d361e2f0e10dd3ca0b6520a000f4d89a1aba"),
 }
 
 

@@ -109,6 +109,12 @@ def test_lambda_bound_enforced():
         ModelParams(lam=0.2)
 
 
+def test_t_connect_at_most_one_day():
+    assert ModelParams(t_connect=1440).t_connect == 1440
+    with pytest.raises(TimetableError, match="t_connect must not exceed 1440"):
+        ModelParams(t_connect=1441)
+
+
 def test_train_invariants():
     with pytest.raises(TimetableError, match="station"):
         Train(1, "A", 0, "A", 60, 100.0, 60)

@@ -50,8 +50,6 @@ def brute_force(
         return OracleResult(None, None, 0, 0)
     v_star = depot_departures[0]  # ascending ids
 
-    succ = {i: matrices.departures[arr_station[i]] for i in range(1, n + 1)}
-
     counters = {"plans": 0, "feasible": 0}
     best: list = [None]  # (objective, order, flags)
 
@@ -111,7 +109,7 @@ def brute_force(
                 evaluate_cycle(path)
             return
         i = path[-1]
-        for j in succ[i]:
+        for j in matrices.departures[arr_station[i]]:
             if j in used:
                 continue
             if arr_at_depot[i]:

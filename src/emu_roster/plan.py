@@ -204,7 +204,6 @@ def validate(
         return ValidationReport(tuple(v))
 
     max_l, max_t = instance.params.max_mileage, instance.params.max_time
-    conn_rows, arr_at_depot = matrices.conn_rows, matrices.tables.arr_at_depot
     for d, tid, wait, km, mins in _walk(ids, plan.maint_after, matrices):
         if wait is None:
             v.append(Violation("CONN", f"trains {ids[d - 1]} and {tid} cannot connect", d + 1))
@@ -214,7 +213,7 @@ def validate(
             v.append(Violation("EQ12", f"{mins} min since maintenance exceeds {max_t:.0f}", d + 1))
         if plan.maint_after[d]:
             nxt = ids[(d + 1) % n]
-            if not arr_at_depot[tid] or conn_rows[tid - 1][nxt - 1] is None:
+            if not matrices.tables.arr_at_depot[tid] or matrices.conn_rows[tid - 1][nxt - 1] is None:
                 v.append(
                     Violation("EQ10", f"maintenance between {tid} and {nxt} is not at the depot", d + 1)
                 )

@@ -56,11 +56,9 @@ class ModelParams:
     def __post_init__(self):
         if self.l_cycle <= 0 or self.t_cycle <= 0:
             raise TimetableError("cycle limits must be positive")
-        if self.t_connect <= 0:
-            raise TimetableError("t_connect must be a positive number of minutes")
-        if self.t_connect > MINUTES_PER_DAY:
-            # a wait rolls over by one day at most, so it could never reach t_connect
-            raise TimetableError(f"t_connect must not exceed {MINUTES_PER_DAY} minutes")
+        if not 0 < self.t_connect <= MINUTES_PER_DAY:
+            # waits roll over by one day at most, so a longer t_connect is never met
+            raise TimetableError(f"t_connect must lie in (0, {MINUTES_PER_DAY}] minutes")
         if not 0.0 <= self.lam <= 0.10:
             raise TimetableError("lambda must lie in [0, 0.10]")
         if self.omega1 < 0 or self.omega2 < 0:

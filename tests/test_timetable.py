@@ -111,8 +111,9 @@ def test_lambda_bound_enforced():
 
 def test_t_connect_at_most_one_day():
     assert ModelParams(t_connect=1440).t_connect == 1440
-    with pytest.raises(TimetableError, match="t_connect must not exceed 1440"):
-        ModelParams(t_connect=1441)
+    for t_connect in (0, 1441):
+        with pytest.raises(TimetableError, match=r"t_connect must lie in \(0, 1440\]"):
+            ModelParams(t_connect=t_connect)
 
 
 def test_train_invariants():

@@ -3,8 +3,13 @@
 Builds the single closed loop position by position: start from a train
 leaving the depot, keep chaining connectable trains, and whenever the chain
 returns to the depot decide (randomly, or compulsorily when a cycle limit
-would be hit) whether to cut a maintenance arc there. Dead ends restart the
-whole attempt with fresh randomness.
+would be hit) whether to cut a maintenance arc there. The decision looks one
+station ahead: declining is refused when no departure where the next train
+arrives would still fit the windows. On paired timetables (depot ->
+turn-back -> depot) with default parameters that leaves no dead end, since
+after a maintenance any return leg fits. Dead ends, still possible on
+multi-leg chains and under tight windows, restart the whole attempt with
+fresh randomness.
 
 Candidates come from the per-station departure index of ConnectionMatrices:
 each attempt keeps, per station, the id-sorted list of unassigned trains
@@ -78,6 +83,13 @@ def build_cycle(
 ) -> CirculationPlan:
     """One construction attempt; raises DeadEnd when it cannot continue.
 
+    At the depot the coin may decline maintenance only when some departure
+    from the station the next train reaches fits both windows at the
+    carried-over totals (the rule of _candidates); otherwise the arc is cut.
+    This look-ahead draws no random number and is the same with or without
+    a proposal, so it never strands the unit one station on; an overrun two
+    or more stations on still dead-ends.
+
     With a proposal (one train id per position), each proposed train is taken
     when it is unassigned and legal under the current step's rules, except
     that a proposed depot-bound train may break the mileage window (the
@@ -141,6 +153,16 @@ def build_cycle(
             conn = conn_row[j - 1]
             fits = acc_l + mileage[j] <= max_l and acc_t + conn + travel[j] <= max_t
             maintain = 1 if not fits or random() < maint_prob else 0
+            if not maintain and not arr_at_depot[j]:
+                # look one station ahead, drawing nothing: when no departure
+                # where j arrives fits at the carried-over totals, the next
+                # step would dead-end, so the maintenance arc is cut here (a
+                # depot-bound j needs no look: the depot step after it cuts)
+                away, _, usable = _candidates(
+                    free[arr_station[j]], acc_l + mileage[j], acc_t + conn + travel[j],
+                    arr_at_depot, mileage, travel, conn_rows[j - 1], max_l, max_t,
+                )
+                maintain = 0 if away or usable else 1
             if maintain:
                 acc_l, acc_t = mileage[j], travel[j]
             else:

@@ -50,5 +50,31 @@ def two_train_instance():
 
 
 @pytest.fixture()
+def chain():
+    """Two three-leg chains through depot C: C -> X -> Y -> C and C -> U -> V -> C.
+
+    Each leg runs 750 km, so either chain fits the 4,200 km allowance alone
+    (2,250 km) and two chains do not (4,500 km). Declining maintenance between
+    them still lets the first two legs of the second chain fit (3,750 km), so
+    the overrun shows only on its last leg, two stations after the depot:
+    one station of look-ahead cannot see it, and an attempt that declines
+    maintenance there dead-ends.
+    """
+    from emu_roster import ModelParams, TimetableInstance, Train
+
+    legs = [("C", "X"), ("X", "Y"), ("Y", "C"), ("C", "U"), ("U", "V"), ("V", "C")]
+    trains = tuple(
+        Train(k, dep, 6 * 60 + 90 * (k - 1), arr, 7 * 60 + 90 * (k - 1), 750.0, 60)
+        for k, (dep, arr) in enumerate(legs, start=1)
+    )
+    return TimetableInstance(
+        trains=trains,
+        stations=frozenset({"C", "X", "Y", "U", "V"}),
+        maint_stations=frozenset({"C"}),
+        params=ModelParams(),
+    )
+
+
+@pytest.fixture()
 def two_train():
     return two_train_instance()

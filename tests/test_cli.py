@@ -358,11 +358,11 @@ def _sha(data: bytes) -> str:
 
 # SHA-256 of the bytes of a default fig1 solve and of validate/diagram on its plan
 GOLDEN_FIG1 = {
-    "plan": "0f4f3c94ef54e517031bf7fb89c6787888b9cdac9653faa59215188266db2f31",
-    "solve_stdout": "a7b6dea20ba6fc53290b73c46da5996d52d096def9b681bc46a5915f86c023a6",
-    "trace": "404d24e61d5e89c4478d12f2be9bc93e0996a70df4a4de64f06bcf1c47021647",
+    "plan": "8ac8f41aa572d73da0262a1ab6bafd8cb9911f51df2fe0681c07fd23415c50d9",
+    "solve_stdout": "9f63059b723edfba25493fbf20af399c3ca5bb3605b15116076ed1b73665d68a",
+    "trace": "eb0dd11b2c40ed9c9817a4b45b245c160b7ebab497a5bf8edb1764e20bd6e447",
     "validate_stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "diagram": "72d78f5459ff2f079c4624eec6ae67f5804dad4e825fd697db68f71a5dabdca1",
+    "diagram": "8cd63fb0b87eb34f0164d1280f4f9dfcbe2d43db77f56bc277028fc840d9f12a",
 }
 
 

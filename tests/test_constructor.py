@@ -18,15 +18,16 @@ from emu_roster import (
     solve,
     validate,
 )
-from emu_roster.constructor import _candidates
+from emu_roster.constructor import _candidates, build_cycle
 
 
 def tricky_instance():
-    """Continuing past the depot without maintenance strands the EMU at X.
+    """Continuing past the depot without maintenance would strand the EMU at X.
 
     Pair 1 is short (500 km), pair 2 long (1700 km): after serving three
-    trains the forced return leg overruns the mileage allowance, so any
-    attempt that declines maintenance at the depot dead-ends.
+    trains the forced return leg overruns the mileage allowance. The depot
+    step looks one station ahead, sees that no return from X fits and cuts
+    the maintenance arc instead of declining it.
     """
     trains = (
         Train(1, "C", 6 * 60, "X", 7 * 60, 500.0, 60),
@@ -71,11 +72,37 @@ def test_restarts_recover_from_dead_ends():
     assert plan.maint_after[1] == 1 or plan.maint_after[3] == 1
 
 
-def test_never_maintaining_exhausts_restarts():
+def test_never_maintaining_exhausts_restarts(chain):
+    # the overrun shows two stations past the depot, beyond the look-ahead
+    m = build_matrices(chain)
+    with pytest.raises(InfeasibleError, match="dead-ended"):
+        construct(chain, m, np.random.default_rng(0), max_restarts=5, maint_prob=0.0)
+
+
+def test_look_ahead_forces_maintenance_one_station_on():
     inst = tricky_instance()
     m = build_matrices(inst)
-    with pytest.raises(InfeasibleError, match="dead-ended"):
-        construct(inst, m, np.random.default_rng(0), max_restarts=5, maint_prob=0.0)
+    for seed in range(20):
+        plan = construct(inst, m, np.random.default_rng(seed), max_restarts=0, maint_prob=0.0)
+        assert validate(plan, inst, m).ok
+        assert plan.maint_after[plan.order.index(2)] == 1
+
+
+@pytest.mark.parametrize("pairs", [4, 50, 250], ids=lambda p: f"n{2 * p}")
+def test_paired_timetables_never_dead_end(pairs):
+    # after a maintenance any return leg fits the default windows, and the
+    # look-ahead cuts one whenever declining it would leave no return that fits
+    for inst_seed in (1, 2):
+        inst = generate_instance(pairs, 4, seed=inst_seed)
+        m = build_matrices(inst)
+        rng = np.random.default_rng(inst_seed)
+        for maint_prob in (0.0, 0.5, 0.9):
+            for guided in (False, True):
+                for _ in range(3):
+                    vec = rng.integers(1, inst.n + 1, size=inst.n).tolist() if guided else None
+                    plan = build_cycle(inst, m, rng, maint_prob, vec)  # raises DeadEnd
+                    if not guided:
+                        assert validate(plan, inst, m).ok
 
 
 def test_oversized_train_is_globally_infeasible():
@@ -203,7 +230,7 @@ def test_constructed_plans_cover_multiple_shapes(fig1, fig1_matrices):
 
 
 def test_scales_with_eager_maintenance():
-    # the myopic depot coin needs a higher cut probability at size
+    # a large paired instance at an eager cut probability
     inst = generate_instance(50, 4, seed=1)
     m = build_matrices(inst)
     rng = np.random.default_rng(0)
@@ -222,11 +249,11 @@ GOLDEN_CONSTRUCT = {
     # (n_pairs, turnback stations, instance seed, rng seed, kwargs): sha
     (4, 2, 3, 5, ()): "81b7e5bc8abfca46ac1ae257db9e65a1b575cb5195775b379b00e4f890639647",
     (50, 4, 1, 2, (("maint_prob", 0.9), ("max_restarts", 1000))):
-        "3efdb9a80a8f3078f49636c5e03dbc18ad296c37a30aa75193b84bf762deccbe",
+        "64d8de336a90e7ea1eef2f217f2ff9f5efcaf3cc2e312f20eaec0e890e4cbfad",
     (250, 8, 1, 2, (("maint_prob", 0.9), ("max_restarts", 1000))):
-        "d32b232d2dda1fec0ac84caa93686b27d09f9ce77e57df5f54818e0fc66da517",
+        "756139afc56a711d4743d0ec5e15de28779df243a830776a74b6bbb758118ea7",
 }
-GOLDEN_SOLVE = "2a35d0a078af82554c1a7141c2fa9ce18f0abbe6e1341e15fd1a3a92b4a7d081"
+GOLDEN_SOLVE = "cb351a866879851a5d191d5aeccb8e07d90500c72813afd9b233bab603575a17"
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CONSTRUCT), ids=lambda c: f"n{2 * c[0]}")
@@ -243,4 +270,4 @@ def test_golden_solved_plan():
     m = build_matrices(inst)
     res = solve(inst, m, SwarmConfig(n_particles=10, k_max=20, seed=4))
     assert _plan_sha(res.best_plan, inst, m) == GOLDEN_SOLVE
-    assert res.restarts == 82
+    assert res.restarts == 0

@@ -403,9 +403,11 @@ def _golden_n100():
     return inst, m, plan
 
 
-def _corrupt(plan, inst, family):
+def _corrupt(plan, inst, m, family):
     """Break the n = 100 golden plan so that validate reports `family`."""
     order, flags = list(plan.order), list(plan.maint_after)
+    rots = decode_rotations(plan, inst, m)
+    ends = [d for d, flag in enumerate(flags) if flag]  # the last position of each rotation
     n = len(order)
     train = inst.train
     if family == "CONN":  # swap the successor of the first ordinary arc for one departing elsewhere
@@ -419,30 +421,41 @@ def _corrupt(plan, inst, family):
     elif family == "EQ10":
         d = next(d for d in range(n) if train(order[d]).arr_station not in inst.maint_stations)
         flags[d] = 1
-    elif family == "EQ11":  # merges two rotations past the mileage allowance
-        flags[5] = 0
+    elif family == "EQ11":  # merges the fewest rotations (earliest first) past the km allowance
+        km = [r.total_mileage for r in rots]
+        k, size = next(
+            (k, size) for size in range(2, len(km) + 1) for k in range(len(km) - size + 1)
+            if sum(km[k : k + size]) > inst.params.max_mileage
+        )
+        for d in ends[k : k + size - 1]:
+            flags[d] = 0
     elif family == "EQ12":  # merges two rotations past the time allowance only
-        flags[3] = 0
+        flags[next(
+            d for d, a, b in zip(ends, rots, rots[1:])
+            if a.total_mileage + b.total_mileage <= inst.params.max_mileage
+            and a.total_time + m.time(a.trains[-1] - 1, b.trains[0] - 1) + b.total_time
+            > inst.params.max_time
+        )] = 0
     return CirculationPlan(order=tuple(order), maint_after=tuple(flags))
 
 
 # SHA-256 of the position and text of every violation, one per line
 GOLDEN_VIOLATIONS = {
-    "CONN": "80796a34bcf79e6535bd8c311b9f81b3878671a21b5d7830191cec09eb79253a",
-    "EQ8/EQ9": "25c9b2a5b90815072b3f1d9bd8814762b44fdc092d265f51a155a2911a546b21",
+    "CONN": "c39f0d54f0e44d0a3429b1ce895381df8d7e7bbe7c120bef285fd3d08a61181c",
+    "EQ8/EQ9": "b8ca0e2521fdd43ccd2c83497e5af7405e7cc066bb4ea7c99d218d07d5f962a5",
     "SHAPE": "76bf8f6ebb66f6254c15378e55ab95550b7b5759f7e036d93464902fc0edbe11",
-    "EQ10": "33e072a98918e0756b6c90cfbd8cfd2e5fd9fa22b75e84db569c7b7a0c642552",
-    "EQ11": "130fb6df141ac1541f8be62f0810a37d8fd7e322962d3b08e893da4283b3dba6",
-    "EQ12": "5031ab4ad97d7b2f557fd29bbd873ce296cc67527a9c89cb05306caec341d454",
+    "EQ10": "45ab70006c06340036a996fa12e89477fc5153c65992a34e896dfc5a39c4e0de",
+    "EQ11": "b03667a6f1afb2ebbbce4aa651f7efef573c6f8bc795677db890b28bab7e043c",
+    "EQ12": "ba31c76e7fa3195fe9fb05735fbfeaaf30d501575312e22005bfa8bd1b3c13c8",
 }
 # SHA-256 of repr(plan_summary) of the clean plan: every field, floats exact
-GOLDEN_SUMMARY = "a6f3ae885051dfedb661f2ce460b8c280ade4e30ba75a7ac89463b6bc8ba995e"
+GOLDEN_SUMMARY = "6d482c3ea04c36b967310fbf18e14f686c25d7f1ab7655204159591213f1e9af"
 
 
 @pytest.mark.parametrize("family", sorted(GOLDEN_VIOLATIONS))
 def test_golden_violation_text(family):
     inst, m, plan = _golden_n100()
-    report = validate(_corrupt(plan, inst, family), inst, m)
+    report = validate(_corrupt(plan, inst, m, family), inst, m)
     assert family in report.tags()
     text = "\n".join(f"{v.position} {v}" for v in report.violations)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_VIOLATIONS[family]

@@ -230,10 +230,10 @@ def test_decode_repairs_degenerate_vector(fig1, fig1_matrices):
         assert plan.maint_after[-1] == 1
 
 
-def test_decode_counts_dead_ends():
+def test_decode_counts_dead_ends(chain):
     """0 when the guided walk succeeds; else 1 plus the failed attempts of the
     fallback construction, which continues on the same generator."""
-    inst = generate_instance(4, 2, seed=102)
+    inst = chain  # both walks dead-end whenever they decline maintenance
     m = build_matrices(inst)
     rng = np.random.default_rng(1)
     seen = set()
@@ -314,6 +314,15 @@ def test_solve_matches_oracle_on_small_instance():
     assert res.best_fitness == pytest.approx(exact.best_objective, abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_default_solve_at_200_trains_finds_a_plan(seed):
+    # default maint_prob 0.5 and max_restarts 100, a short 4 x 5 swarm
+    inst = generate_instance(100, 4, seed=seed)
+    m = build_matrices(inst)
+    res = solve(inst, m, SwarmConfig(n_particles=4, k_max=5, seed=seed))
+    assert validate(res.best_plan, inst, m).ok
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SwarmConfig(n_particles=0)
@@ -340,18 +349,18 @@ def test_fitness_reduces_to_connection_time_without_slack_weight(fig1, fig1_matr
 GOLDEN_SWARM = {
     # name: (n_pairs, turnback stations, instance seed, SwarmConfig kwargs, sha)
     "n6-default": (3, 2, 13, (("seed", 13),),
-                   "aa6b6e3e605de69d26e2f005cf04378d1d4a872bd0d4930c52304c6d3366927c"),
+                   "419ac0277b253c5d91ad60d2dfaf6f18882d805d933e3380733caec8ae43a832"),
     "n8-default": (4, 1, 14, (("seed", 14),),
-                   "e01a1fd58d3bc329b6215b8356b202739ab74d2a7057e345076afa1c528ed5af"),
+                   "af48c34da6c3c9e1609b7234f4848d341d285fac61975cd78bc9da8bb1505762"),
     "n10-default": (5, 2, 15, (("seed", 15),),
-                    "5d3a1b138dc33cc2c119ec4a94b6a8ab4da32b86f0a69e00adb99e8c2addf872"),
+                    "d1063b14612079afa7a8a63ec0f29957f70ef0f6bc147b8bf0bc9b73f5a1fa3b"),
     "one-particle": (4, 1, 16, (("n_particles", 1), ("k_max", 200), ("seed", 16)),
-                     "ca78e71640c7f50e44746b52ee3366aef6697a407138aa74f6a3c2ee1ea1cf70"),
+                     "2231de70576e5f9c7752c90eee5c069e7d7160ce3579f070f095314bcd03a88f"),
     "custom-coefficients": (
         5, 2, 17,
         (("n_particles", 12), ("k_max", 60), ("c1", 1.3), ("c2", 0.6),
          ("v_min", -1.5), ("v_max", 2.5), ("seed", 17)),
-        "88df894f52b8cfcc6578c9158577032491f07cce89a7550a27687708c6e5f612",
+        "9852659a5551ee46a17cbab4e93140b2f399925733c2c3293812b9a4b0a5ce3f",
     ),
 }
 

@@ -1,15 +1,15 @@
 """Randomized construction of feasible circulation cycles.
 
-Builds the single closed loop position by position: start from a train
-leaving the depot, keep chaining connectable trains, and whenever the chain
-returns to the depot decide (randomly, or compulsorily when a cycle limit
-would be hit) whether to cut a maintenance arc there. The decision looks one
-station ahead: declining is refused when no departure where the next train
-arrives would still fit the windows. On paired timetables (depot ->
-turn-back -> depot) with default parameters that leaves no dead end, since
-after a maintenance any return leg fits. Dead ends, still possible on
-multi-leg chains and under tight windows, restart the whole attempt with
-fresh randomness.
+Builds the single closed loop in one pass over positions 1..n. Position 1
+and every position after a depot arrival are depot steps: each draws a train
+leaving the depot and decides whether to cut a maintenance arc before it,
+randomly or compulsorily when a cycle limit would be hit; the arc into
+position 1 closes the cycle and is always cut. Other steps chain a
+connectable train. The decision looks one station ahead: declining is refused
+when no departure where the next train arrives would still fit the windows.
+On paired timetables with default parameters that leaves no dead end. Dead
+ends, still possible on multi-leg chains and under tight windows, restart the
+whole attempt with fresh randomness.
 
 Candidates come from the per-station departure index of ConnectionMatrices:
 each attempt keeps, per station, the id-sorted list of unassigned trains
@@ -23,7 +23,8 @@ doubles with that method serves, such as solve's block-drawn Philox streams.
 
 The same stepping engine also serves the swarm decoder: a caller may supply
 a proposed train per position, which is taken whenever it is legal at that
-step and repaired by the normal step logic otherwise.
+step and repaired by the normal step logic otherwise; construct_with_stats
+passes it to its first attempt only.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .connection import ConnectionMatrices
+from .connection import ConnectionMatrices, TrainTables
 from .plan import CirculationPlan
 from .timetable import TimetableInstance
 
@@ -49,29 +50,24 @@ def _candidates(
     free: list[int],
     acc_l: float,
     acc_t: float,
-    arr_at_depot: list[bool],
-    mileage: list[float],
-    travel: list[int],
     conn_row: list[int | None],
+    tables: TrainTables,
     max_l: float,
     max_t: float,
-) -> tuple[list[int], list[int], list[int]]:
+) -> tuple[list[int], list[int]]:
     """Split free, the unassigned departures (ascending ids) of the station
-    where the previous train arrived, in one pass: away-from-depot trains
-    that fit both windows, all depot-bound trains, and the depot-bound ones
-    that fit both windows."""
+    where the previous train arrived, in one pass into the trains that fit
+    both windows: those heading away from the depot and the depot-bound ones."""
+    mileage, travel, arr_at_depot, _ = tables
     away: list[int] = []
-    to_depot: list[int] = []
     usable: list[int] = []
     for j in free:
-        fits = acc_l + mileage[j] <= max_l and acc_t + conn_row[j - 1] + travel[j] <= max_t
-        if arr_at_depot[j]:
-            to_depot.append(j)
-            if fits:
+        if acc_l + mileage[j] <= max_l and acc_t + conn_row[j - 1] + travel[j] <= max_t:
+            if arr_at_depot[j]:
                 usable.append(j)
-        elif fits:
-            away.append(j)
-    return away, to_depot, usable
+            else:
+                away.append(j)
+    return away, usable
 
 
 def build_cycle(
@@ -83,12 +79,12 @@ def build_cycle(
 ) -> CirculationPlan:
     """One construction attempt; raises DeadEnd when it cannot continue.
 
-    At the depot the coin may decline maintenance only when some departure
+    At a depot step the coin may decline maintenance only when some departure
     from the station the next train reaches fits both windows at the
     carried-over totals (the rule of _candidates); otherwise the arc is cut.
     This look-ahead draws no random number and is the same with or without
     a proposal, so it never strands the unit one station on; an overrun two
-    or more stations on still dead-ends.
+    or more stations on still dead-ends. Position 1 draws no coin.
 
     With a proposal (one train id per position), each proposed train is taken
     when it is unassigned and legal under the current step's rules, except
@@ -101,7 +97,8 @@ def build_cycle(
         raise InfeasibleError(
             f"train {instance.oversize} alone exceeds a maintenance cycle allowance; no plan exists"
         )
-    mileage, travel, arr_at_depot, arr_station = matrices.tables
+    tables = matrices.tables
+    mileage, travel, arr_at_depot, arr_station = tables
     params = instance.params
     max_l, max_t = params.max_mileage, params.max_time
     depot = instance.maint_station
@@ -117,72 +114,49 @@ def build_cycle(
         raise InfeasibleError("no train departs the depot station; no plan exists")
 
     order: list[int] = []
-    flags: list[int] = []
-
-    first = None
-    if proposal is not None:
-        first = int(proposal[0])
-        if not 0 < first <= n or instance.trains[first - 1].dep_station != depot:
-            first = None
-    if first is None:
-        first = depot_free[int(random() * len(depot_free))]
-    order.append(first)
-    flags.append(0)
-    placed[first] = True
-    del depot_free[bisect_left(depot_free, first)]
-    acc_l, acc_t = mileage[first], travel[first]
-
-    for d in range(2, n + 1):
-        prev = order[-1]
-        conn_row = conn_rows[prev - 1]
+    flags: list[int] = []  # flags[d - 1]: maintenance on the arc into position d, from n for d = 1
+    for d in range(1, n + 1):
         proposed = None
         if proposal is not None:
             proposed = int(proposal[d - 1])
             if not 0 < proposed <= n or placed[proposed]:
                 proposed = None  # out of range or already placed: repaired below
 
-        if arr_at_depot[prev]:
+        if d == 1 or arr_at_depot[order[-1]]:
             here = depot_free
             if not here:
                 raise DeadEnd(f"no depot departure left at position {d}")
-            # prev arrived at the depot: connectable means departing it
-            if proposed is not None and conn_row[proposed - 1] is not None:
+            # after the depot, connectable means departing it
+            if proposed is not None and instance.trains[proposed - 1].dep_station == depot:
                 j = proposed
             else:
                 j = here[int(random() * len(here))]
-            conn = conn_row[j - 1]
-            fits = acc_l + mileage[j] <= max_l and acc_t + conn + travel[j] <= max_t
-            maintain = 1 if not fits or random() < maint_prob else 0
-            if not maintain and not arr_at_depot[j]:
-                # look one station ahead, drawing nothing: when no departure
-                # where j arrives fits at the carried-over totals, the next
-                # step would dead-end, so the maintenance arc is cut here (a
-                # depot-bound j needs no look: the depot step after it cuts)
-                away, _, usable = _candidates(
-                    free[arr_station[j]], acc_l + mileage[j], acc_t + conn + travel[j],
-                    arr_at_depot, mileage, travel, conn_rows[j - 1], max_l, max_t,
-                )
-                maintain = 0 if away or usable else 1
-            if maintain:
-                acc_l, acc_t = mileage[j], travel[j]
-            else:
-                acc_l += mileage[j]
-                acc_t += conn + travel[j]
-            flags[-1] = maintain
+            maintain = 1  # the closing arc, into position 1, is always maintained
+            if d > 1:
+                conn = conn_rows[order[-1] - 1][j - 1]
+                fits = acc_l + mileage[j] <= max_l and acc_t + conn + travel[j] <= max_t
+                maintain = 1 if not fits or random() < maint_prob else 0
+                if not maintain and not arr_at_depot[j]:
+                    # look one station ahead, drawing nothing: when no departure
+                    # where j arrives fits at the carried-over totals, the next
+                    # step would dead-end, so the maintenance arc is cut here (a
+                    # depot-bound j needs no look: the depot step after it cuts)
+                    away, usable = _candidates(free[arr_station[j]], acc_l + mileage[j],
+                                               acc_t + conn + travel[j], conn_rows[j - 1],
+                                               tables, max_l, max_t)
+                    maintain = 0 if away or usable else 1
         else:
+            prev = order[-1]
+            conn_row = conn_rows[prev - 1]
             here = free[arr_station[prev]]
-            j = None
-            if proposed is not None:
-                conn = conn_row[proposed - 1]
-                # only a depot-bound proposal may break the mileage window
-                if conn is not None and acc_t + conn + travel[proposed] <= max_t and (
-                    arr_at_depot[proposed] or acc_l + mileage[proposed] <= max_l
-                ):
-                    j = proposed
-            if j is None:
-                away, to_depot, usable = _candidates(
-                    here, acc_l, acc_t, arr_at_depot, mileage, travel, conn_row, max_l, max_t
-                )
+            conn = conn_row[proposed - 1] if proposed is not None else None
+            # only a depot-bound proposal may break the mileage window
+            if conn is not None and acc_t + conn + travel[proposed] <= max_t and (
+                arr_at_depot[proposed] or acc_l + mileage[proposed] <= max_l
+            ):
+                j = proposed
+            else:
+                away, usable = _candidates(here, acc_l, acc_t, conn_row, tables, max_l, max_t)
                 # the depot-bound fallback may run the windows tight (the
                 # following depot step can force maintenance), but a train
                 # that breaks one outright is unusable
@@ -190,25 +164,24 @@ def build_cycle(
                     j = away[int(random() * len(away))]
                 elif usable:
                     j = usable[int(random() * len(usable))]
-                elif to_depot:
-                    raise DeadEnd(f"every depot-bound successor overruns at position {d}")
                 else:
-                    raise DeadEnd(f"no successor from train {prev} at position {d}")
+                    raise DeadEnd(f"no successor of train {prev} fits at position {d}")
             conn = conn_row[j - 1]
+            maintain = 0
+        if maintain:
+            acc_l, acc_t = mileage[j], travel[j]
+        else:
             acc_l += mileage[j]
             acc_t += conn + travel[j]
-            flags[-1] = 0
-
         order.append(j)
-        flags.append(0)
+        flags.append(maintain)
         placed[j] = True
         del here[bisect_left(here, j)]
 
     if not arr_at_depot[order[-1]]:
         # cannot happen on a flow-balanced instance; guard for odd inputs
         raise DeadEnd("cycle does not end at the depot")
-    flags[-1] = 1
-    return CirculationPlan(order=tuple(order), maint_after=tuple(flags))
+    return CirculationPlan(order=tuple(order), maint_after=tuple(flags[1:] + flags[:1]))
 
 
 def construct_with_stats(
@@ -217,8 +190,12 @@ def construct_with_stats(
     rng: np.random.Generator,
     max_restarts: int = 100,
     maint_prob: float = 0.5,
+    proposal=None,
 ) -> tuple[CirculationPlan, int]:
     """Run build_cycle until it succeeds; returns (plan, failed attempts).
+
+    A proposal guides the first attempt only, which max_restarts does not
+    charge; the failed count, returned or raised, includes it.
 
     Raises ValueError, before any draw, for a negative max_restarts or a
     maint_prob outside [0, 1] (NaN included).
@@ -227,17 +204,16 @@ def construct_with_stats(
         raise ValueError(f"max_restarts must be >= 0, got {max_restarts!r}")
     if not 0.0 <= maint_prob <= 1.0:
         raise ValueError(f"maint_prob must lie in [0, 1], got {maint_prob!r}")
-    failed = 0
-    while True:
+    attempts = max_restarts + 1 if proposal is None else max_restarts + 2
+    for failed in range(attempts):
         try:
-            return build_cycle(instance, matrices, rng, maint_prob), failed
+            return build_cycle(instance, matrices, rng, maint_prob, proposal), failed
         except DeadEnd:
-            failed += 1
-            if failed > max_restarts:
-                raise InfeasibleError(
-                    f"construction dead-ended in {failed} consecutive attempts; on large "
-                    f"or tightly timed instances a higher maint_prob usually helps"
-                ) from None
+            proposal = None
+    raise InfeasibleError(
+        f"construction dead-ended in {attempts} consecutive attempts; on large "
+        f"or tightly timed instances a higher maint_prob usually helps"
+    )
 
 
 def construct(

@@ -13,8 +13,8 @@ evaluation order therefore cannot change any draw, and particles could be
 evaluated concurrently without affecting results.
 
 Iteration 0 is the first pass of the same particle loop: each particle is
-built by the random constructor instead of decoded, then scored and recorded
-like any later plan. Every later iteration is one array step: every
+built by the constructor with no proposal, then scored and recorded like any
+later plan. Every later iteration is one array step: every
 particle's stream is reset to its (iteration, particle) counter and its
 random coefficients are drawn first, then one velocity/position update moves
 the whole swarm, then each proposal is decoded with the rest of its
@@ -33,7 +33,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .connection import ConnectionMatrices, build_matrices
-from .constructor import DeadEnd, build_cycle, construct_with_stats
+from .constructor import construct_with_stats
 from .plan import CirculationPlan, decode_rotations, fitness_from_parts
 from .timetable import TimetableInstance
 
@@ -154,17 +154,10 @@ def decode(
 ) -> tuple[CirculationPlan, int]:
     """Realize a position vector as a plan, repairing illegal entries.
 
-    Falls back to a full fresh construction when the guided walk dead-ends.
-    Returns (plan, dead ends): 0 when the guided walk succeeds, else 1 plus
-    the failed attempts of the fallback construction.
+    construct_with_stats with the position as the proposal of its first
+    attempt; returns (plan, dead ends), a guided dead end included.
     """
-    try:
-        return build_cycle(instance, matrices, rng, maint_prob, proposal=position), 0
-    except DeadEnd:
-        plan, failed = construct_with_stats(
-            instance, matrices, rng, max_restarts=max_restarts, maint_prob=maint_prob
-        )
-        return plan, failed + 1
+    return construct_with_stats(instance, matrices, rng, max_restarts, maint_prob, position)
 
 
 @dataclass(frozen=True)
@@ -241,12 +234,8 @@ def solve(
 
         feasible_now = 0
         for m, rng in enumerate(streams):
-            if k:
-                plan, failed = decode(proposed[m], instance, matrices, rng,
-                                      maint_prob=maint_prob, max_restarts=max_restarts)
-            else:
-                plan, failed = construct_with_stats(instance, matrices, rng,
-                                                    max_restarts=max_restarts, maint_prob=maint_prob)
+            plan, failed = construct_with_stats(instance, matrices, rng, max_restarts, maint_prob,
+                                                proposed[m] if k else None)
             restarts += failed
             rotations = decode_rotations(plan, instance, matrices)
             fit = fitness_from_parts(rotations, params)

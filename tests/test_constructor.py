@@ -63,13 +63,13 @@ def test_same_seed_same_plan(fig1, fig1_matrices):
     assert a == b
 
 
-def test_restarts_recover_from_dead_ends():
-    inst = tricky_instance()
-    m = build_matrices(inst)
-    plan, failed = construct_with_stats(inst, m, np.random.default_rng(0))
-    assert validate(plan, inst, m).ok
-    # a maintenance cut must separate the two pairs
-    assert plan.maint_after[1] == 1 or plan.maint_after[3] == 1
+def test_restarts_recover_from_dead_ends(chain):
+    m = build_matrices(chain)
+    plan, failed = construct_with_stats(chain, m, np.random.default_rng(0))
+    assert failed >= 1
+    assert validate(plan, chain, m).ok
+    # a maintenance cut must separate the two chains, which end with trains 3 and 6
+    assert all(plan.maint_after[plan.order.index(last)] == 1 for last in (3, 6))
 
 
 def test_never_maintaining_exhausts_restarts(chain):
@@ -175,17 +175,14 @@ def test_restart_rate_stays_low():
 
 def _step_after_train_1(fig1, fig1_matrices, remaining, acc_l, acc_t):
     """_candidates as build_cycle calls it with train 1 last placed and only
-    `remaining` unassigned: (away, to_depot, usable)."""
-    depot = fig1.maint_station
+    `remaining` unassigned: (away, usable)."""
     here = fig1_matrices.departures[fig1.train(1).arr_station]
     return _candidates(
         [j for j in here if j in remaining],
         acc_l,
         acc_t,
-        [False] + [t.arr_station == depot for t in fig1.trains],
-        [0.0] + [t.mileage for t in fig1.trains],
-        [0] + [t.travel_time for t in fig1.trains],
         fig1_matrices.conn_rows[0],
+        fig1_matrices.tables,
         fig1.params.max_mileage,
         fig1.params.max_time,
     )
@@ -193,30 +190,27 @@ def _step_after_train_1(fig1, fig1_matrices, remaining, acc_l, acc_t):
 
 def test_step_candidates_split(fig1, fig1_matrices):
     # at A after train 1; train 2 heads to B (turn-back), train 4 to C (depot)
-    away, to_depot, usable = _step_after_train_1(fig1, fig1_matrices, {2, 4}, 520.0, 125)
+    away, usable = _step_after_train_1(fig1, fig1_matrices, {2, 4}, 520.0, 125)
     assert away == [2]
-    assert to_depot == [4]
     assert usable == [4]
 
 
 def test_step_candidates_mileage_filter(fig1, fig1_matrices):
     # near the allowance: 4100 + 280 > 4200 pushes train 2 out of the first set
-    away, to_depot, _ = _step_after_train_1(fig1, fig1_matrices, {2, 4}, 4100.0, 500)
+    away, _ = _step_after_train_1(fig1, fig1_matrices, {2, 4}, 4100.0, 500)
     assert away == []
-    assert to_depot == [4]
 
 
 def test_step_candidates_time_filter(fig1, fig1_matrices):
     # 2900 accumulated minutes + 35 connection + 100 travel > 3024
-    away, to_depot, usable = _step_after_train_1(fig1, fig1_matrices, {2, 4}, 520.0, 2900)
+    away, usable = _step_after_train_1(fig1, fig1_matrices, {2, 4}, 520.0, 2900)
     assert away == []
-    assert to_depot == [4]
     assert usable == []
 
 
 def test_step_candidates_nothing_connects(fig1, fig1_matrices):
     # train 5 departs C, not A: unreachable after train 1
-    assert _step_after_train_1(fig1, fig1_matrices, {5}, 520.0, 125) == ([], [], [])
+    assert _step_after_train_1(fig1, fig1_matrices, {5}, 520.0, 125) == ([], [])
 
 
 def test_constructed_plans_cover_multiple_shapes(fig1, fig1_matrices):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from emu_roster import (
+    InfeasibleError,
     ModelParams,
     SwarmConfig,
     TimetableInstance,
@@ -248,6 +249,20 @@ def test_decode_counts_dead_ends(chain):
         assert decode(vec, inst, m, np.random.default_rng(i)) == expected
         seen.add(min(expected[1], 2))
     assert seen == {0, 1, 2}  # success, fallback at once, fallback after retries
+
+
+def test_decode_error_counts_every_dead_end(chain):
+    """The guided attempt is not charged against max_restarts, so
+    max_restarts + 2 attempts run, and the error counts all of them."""
+    m = build_matrices(chain)
+    ref_rng = np.random.default_rng(0)
+    for vec in [[1] * 6] + [None] * 4:  # the guided attempt, then max_restarts + 1 more
+        with pytest.raises(DeadEnd):
+            build_cycle(chain, m, ref_rng, 0.0, vec)
+    rng = np.random.default_rng(0)
+    with pytest.raises(InfeasibleError, match="dead-ended in 5 consecutive attempts"):
+        decode([1] * 6, chain, m, rng, maint_prob=0.0, max_restarts=3)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_decode_deterministic(fig1, fig1_matrices):

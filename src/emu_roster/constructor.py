@@ -24,7 +24,9 @@ doubles with that method serves, such as solve's block-drawn Philox streams.
 The same stepping engine also serves the swarm decoder: a caller may supply
 a proposed train per position, which is taken whenever it is legal at that
 step and repaired by the normal step logic otherwise; construct_with_stats
-passes it to its first attempt only.
+passes it to its first attempt only. An attempt also returns the minutes
+waited and each rotation's mileage, which its running totals already hold,
+so the swarm scores a decode without walking the plan again.
 """
 
 from __future__ import annotations
@@ -70,14 +72,38 @@ def _candidates(
     return away, usable
 
 
+def _any_fits(
+    free: list[int],
+    acc_l: float,
+    acc_t: float,
+    conn_row: list[int | None],
+    tables: TrainTables,
+    max_l: float,
+    max_t: float,
+) -> bool:
+    """Whether _candidates would find any train in free that fits both
+    windows, away or depot-bound; stops at the first one."""
+    mileage, travel = tables.mileage, tables.travel
+    for j in free:
+        if acc_l + mileage[j] <= max_l and acc_t + conn_row[j - 1] + travel[j] <= max_t:
+            return True
+    return False
+
+
 def build_cycle(
     instance: TimetableInstance,
     matrices: ConnectionMatrices,
     rng: np.random.Generator,
     maint_prob: float = 0.5,
     proposal=None,
-) -> CirculationPlan:
+) -> tuple[CirculationPlan, int, list[float]]:
     """One construction attempt; raises DeadEnd when it cannot continue.
+
+    Returns (plan, waited, rotation_km): the minutes waited on the plan's
+    ordinary arcs and the total mileage of each rotation in cycle order, the
+    totals fitness_from_totals scores. They are the running totals the steps
+    keep anyway, summed in the order plan._walk sums them, so they equal what
+    decode_rotations reports for the plan.
 
     At a depot step the coin may decline maintenance only when some departure
     from the station the next train reaches fits both windows at the
@@ -115,6 +141,8 @@ def build_cycle(
 
     order: list[int] = []
     flags: list[int] = []  # flags[d - 1]: maintenance on the arc into position d, from n for d = 1
+    waited = 0  # minutes waited on the ordinary arcs so far
+    rotation_km: list[float] = []  # mileage of each rotation cut so far
     for d in range(1, n + 1):
         proposed = None
         if proposal is not None:
@@ -141,10 +169,9 @@ def build_cycle(
                     # where j arrives fits at the carried-over totals, the next
                     # step would dead-end, so the maintenance arc is cut here (a
                     # depot-bound j needs no look: the depot step after it cuts)
-                    away, usable = _candidates(free[arr_station[j]], acc_l + mileage[j],
-                                               acc_t + conn + travel[j], conn_rows[j - 1],
-                                               tables, max_l, max_t)
-                    maintain = 0 if away or usable else 1
+                    maintain = 0 if _any_fits(free[arr_station[j]], acc_l + mileage[j],
+                                              acc_t + conn + travel[j], conn_rows[j - 1],
+                                              tables, max_l, max_t) else 1
         else:
             prev = order[-1]
             conn_row = conn_rows[prev - 1]
@@ -169,8 +196,11 @@ def build_cycle(
             conn = conn_row[j - 1]
             maintain = 0
         if maintain:
+            if d > 1:
+                rotation_km.append(acc_l)
             acc_l, acc_t = mileage[j], travel[j]
         else:
+            waited += conn
             acc_l += mileage[j]
             acc_t += conn + travel[j]
         order.append(j)
@@ -181,7 +211,9 @@ def build_cycle(
     if not arr_at_depot[order[-1]]:
         # cannot happen on a flow-balanced instance; guard for odd inputs
         raise DeadEnd("cycle does not end at the depot")
-    return CirculationPlan(order=tuple(order), maint_after=tuple(flags[1:] + flags[:1]))
+    rotation_km.append(acc_l)  # the last rotation, closed by the arc into position 1
+    plan = CirculationPlan(order=tuple(order), maint_after=tuple(flags[1:] + flags[:1]))
+    return plan, waited, rotation_km
 
 
 def construct_with_stats(
@@ -191,8 +223,9 @@ def construct_with_stats(
     max_restarts: int = 100,
     maint_prob: float = 0.5,
     proposal=None,
-) -> tuple[CirculationPlan, int]:
-    """Run build_cycle until it succeeds; returns (plan, failed attempts).
+) -> tuple[CirculationPlan, int, int, list[float]]:
+    """Run build_cycle until it succeeds; returns (plan, failed attempts,
+    waited, rotation_km), the last two as build_cycle returns them.
 
     A proposal guides the first attempt only, which max_restarts does not
     charge; the failed count, returned or raised, includes it.
@@ -207,7 +240,8 @@ def construct_with_stats(
     attempts = max_restarts + 1 if proposal is None else max_restarts + 2
     for failed in range(attempts):
         try:
-            return build_cycle(instance, matrices, rng, maint_prob, proposal), failed
+            plan, waited, rotation_km = build_cycle(instance, matrices, rng, maint_prob, proposal)
+            return plan, failed, waited, rotation_km
         except DeadEnd:
             proposal = None
     raise InfeasibleError(
@@ -224,5 +258,4 @@ def construct(
     maint_prob: float = 0.5,
 ) -> CirculationPlan:
     """Build a feasible circulation plan, restarting on dead ends."""
-    plan, _ = construct_with_stats(instance, matrices, rng, max_restarts, maint_prob)
-    return plan
+    return construct_with_stats(instance, matrices, rng, max_restarts, maint_prob)[0]

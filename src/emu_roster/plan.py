@@ -238,16 +238,31 @@ def objective_value(
     return fitness_from_parts(decode_rotations(plan, instance, matrices), instance.params)
 
 
+def fitness_from_totals(waited, rotation_km, params) -> tuple[float, bool]:
+    """Penalized score (see fitness_value) from the minutes waited on ordinary
+    arcs and each rotation's mileage in cycle order; also whether every
+    rotation lies within the mileage allowance.
+
+    The one place the fitness arithmetic is written: the waiting term first,
+    then each rotation's slack or penalty in order, so any caller holding the
+    same totals gets the same float.
+    """
+    max_l, omega2 = params.max_mileage, params.omega2
+    total = float(params.omega1 * waited)
+    feasible = True
+    for km in rotation_km:
+        if km > max_l:
+            total += omega2 * params.beta * (km - max_l)
+            feasible = False
+        else:
+            total += omega2 * (max_l - km)
+    return total, feasible
+
+
 def fitness_from_parts(rotations, params) -> float:
     """Penalized score of decoded rotations (see fitness_value)."""
-    max_l, omega2 = params.max_mileage, params.omega2
-    total = float(params.omega1 * sum(r.connection_time for r in rotations))
-    for r in rotations:
-        if r.total_mileage > max_l:
-            total += omega2 * params.beta * (r.total_mileage - max_l)
-        else:
-            total += omega2 * (max_l - r.total_mileage)
-    return total
+    waited = sum(r.connection_time for r in rotations)
+    return fitness_from_totals(waited, [r.total_mileage for r in rotations], params)[0]
 
 
 def fitness_value(

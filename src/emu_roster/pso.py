@@ -34,7 +34,7 @@ import numpy as np
 
 from .connection import ConnectionMatrices, build_matrices
 from .constructor import construct_with_stats
-from .plan import CirculationPlan, decode_rotations, fitness_from_parts
+from .plan import CirculationPlan, fitness_from_totals
 from .timetable import TimetableInstance
 
 DEFAULT_SEED = 1
@@ -157,7 +157,9 @@ def decode(
     construct_with_stats with the position as the proposal of its first
     attempt; returns (plan, dead ends), a guided dead end included.
     """
-    return construct_with_stats(instance, matrices, rng, max_restarts, maint_prob, position)
+    plan, failed, _, _ = construct_with_stats(instance, matrices, rng, max_restarts, maint_prob,
+                                              position)
+    return plan, failed
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,6 @@ def solve(
     t0 = time.perf_counter()
     n = instance.n
     params = instance.params
-    max_l = params.max_mileage
     v_max = cfg.v_max if cfg.v_max is not None else n / 2
     v_min = cfg.v_min if cfg.v_min is not None else -n / 2
     key = _philox_key(cfg.seed)
@@ -234,16 +235,15 @@ def solve(
 
         feasible_now = 0
         for m, rng in enumerate(streams):
-            plan, failed = construct_with_stats(instance, matrices, rng, max_restarts, maint_prob,
-                                                proposed[m] if k else None)
+            plan, failed, waited, rotation_km = construct_with_stats(
+                instance, matrices, rng, max_restarts, maint_prob, proposed[m] if k else None)
             restarts += failed
-            rotations = decode_rotations(plan, instance, matrices)
-            fit = fitness_from_parts(rotations, params)
+            fit, feasible = fitness_from_totals(waited, rotation_km, params)
             positions[m] = plan.order  # repaired dimensions become the realized ids
             if fit < pbest_fit[m]:
                 pbest_fit[m] = fit
                 pbest_pos[m] = plan.order
-            if all(rot.total_mileage <= max_l for rot in rotations):
+            if feasible:
                 feasible_now += 1
                 if fit < best_feasible_fit:
                     best_feasible_fit, best_feasible_plan = fit, plan

@@ -13,12 +13,15 @@ from emu_roster import (
     build_matrices,
     construct,
     construct_with_stats,
+    decode_rotations,
+    fitness_value,
     generate_instance,
     render_plan,
     solve,
     validate,
 )
-from emu_roster.constructor import _candidates, build_cycle
+from emu_roster.constructor import DeadEnd, _any_fits, _candidates, build_cycle
+from emu_roster.plan import fitness_from_totals
 
 
 def tricky_instance():
@@ -65,7 +68,7 @@ def test_same_seed_same_plan(fig1, fig1_matrices):
 
 def test_restarts_recover_from_dead_ends(chain):
     m = build_matrices(chain)
-    plan, failed = construct_with_stats(chain, m, np.random.default_rng(0))
+    plan, failed, _, _ = construct_with_stats(chain, m, np.random.default_rng(0))
     assert failed >= 1
     assert validate(plan, chain, m).ok
     # a maintenance cut must separate the two chains, which end with trains 3 and 6
@@ -100,7 +103,7 @@ def test_paired_timetables_never_dead_end(pairs):
             for guided in (False, True):
                 for _ in range(3):
                     vec = rng.integers(1, inst.n + 1, size=inst.n).tolist() if guided else None
-                    plan = build_cycle(inst, m, rng, maint_prob, vec)  # raises DeadEnd
+                    plan, _, _ = build_cycle(inst, m, rng, maint_prob, vec)  # raises DeadEnd
                     if not guided:
                         assert validate(plan, inst, m).ok
 
@@ -167,7 +170,7 @@ def test_restart_rate_stays_low():
         m = build_matrices(inst)
         rng = np.random.default_rng(seed)
         for _ in range(10):
-            _, failed = construct_with_stats(inst, m, rng)
+            _, failed, _, _ = construct_with_stats(inst, m, rng)
             total_failed += failed
             total_built += 1
     assert total_failed / total_built < 5
@@ -213,6 +216,71 @@ def test_step_candidates_nothing_connects(fig1, fig1_matrices):
     assert _step_after_train_1(fig1, fig1_matrices, {5}, 520.0, 125) == ([], [])
 
 
+@pytest.mark.parametrize("pairs", [4, 250], ids=lambda p: f"n{2 * p}")
+def test_look_ahead_agrees_with_candidates(pairs):
+    # the depot step's look-ahead asks only whether _candidates finds anything
+    inst = generate_instance(pairs, 4, seed=pairs)
+    m = build_matrices(inst)
+    max_l, max_t = inst.params.max_mileage, inst.params.max_time
+    rng = np.random.default_rng(pairs)
+    seen = set()
+    for _ in range(400):
+        prev = int(rng.integers(1, inst.n + 1))
+        here = [j for j in m.departures[inst.train(prev).arr_station] if j != prev]
+        free = [j for j in here if rng.random() < 0.7]
+        acc_l, acc_t = rng.uniform(0, max_l), int(rng.integers(0, int(max_t) + 1))
+        args = (free, acc_l, acc_t, m.conn_rows[prev - 1], m.tables, max_l, max_t)
+        away, usable = _candidates(*args)
+        assert _any_fits(*args) == bool(away or usable)
+        seen.add(bool(away or usable))
+    assert seen == {False, True}
+
+
+def _scored_builds(inst, m, rng, proposals, maint_prob):
+    """Every plan build_cycle and construct_with_stats return for each
+    proposal (None for an unguided attempt), with the totals they return.
+    A build_cycle dead end is skipped; construct_with_stats then restarts."""
+    for vec in proposals:
+        try:
+            yield build_cycle(inst, m, rng, maint_prob, vec)
+        except DeadEnd:
+            pass
+        plan, _, waited, rotation_km = construct_with_stats(
+            inst, m, rng, max_restarts=1000, maint_prob=maint_prob, proposal=vec)
+        yield plan, waited, rotation_km
+
+
+def test_constructor_totals_score_bit_identical(fig1, fig1_matrices, chain):
+    """The swarm scores each decode from the constructor's own totals; they
+    give exactly fitness_value's float and decode_rotations' feasibility."""
+    rng = np.random.default_rng(11)
+
+    def mixed(n, tries):
+        return [None] * tries + [rng.integers(1, n + 1, size=n).tolist() for _ in range(tries)]
+
+    chain_m = build_matrices(chain)
+    cases = [
+        (fig1, fig1_matrices, 0.5, mixed(fig1.n, 20)),  # restarts and guided fallbacks
+        (chain, chain_m, 0.5, mixed(chain.n, 20)),
+        # never maintaining, the in-order walk runs the second chain over the
+        # allowance on its last, depot-bound leg: the proposal channel admits it
+        (chain, chain_m, 0.0, [[1, 2, 3, 4, 5, 6]]),
+    ]
+    for pairs in (3, 4, 5, 50, 250):
+        inst = generate_instance(pairs, 4, seed=pairs)
+        m = build_matrices(inst)
+        cases += [(inst, m, p, mixed(inst.n, 2 if pairs > 50 else 10)) for p in (0.0, 0.9)]
+    overruns = 0
+    for inst, m, maint_prob, proposals in cases:
+        for plan, waited, rotation_km in _scored_builds(inst, m, rng, proposals, maint_prob):
+            fit, feasible = fitness_from_totals(waited, rotation_km, inst.params)
+            assert fit == fitness_value(plan, inst, m)
+            rotations = decode_rotations(plan, inst, m)
+            assert feasible == all(r.total_mileage <= inst.params.max_mileage for r in rotations)
+            overruns += not feasible
+    assert overruns > 0  # the penalty branch ran
+
+
 def test_constructed_plans_cover_multiple_shapes(fig1, fig1_matrices):
     # the random strategy should produce varied rotation counts
     counts = set()
@@ -228,7 +296,7 @@ def test_scales_with_eager_maintenance():
     inst = generate_instance(50, 4, seed=1)
     m = build_matrices(inst)
     rng = np.random.default_rng(0)
-    plan, failed = construct_with_stats(inst, m, rng, maint_prob=0.9)
+    plan, failed, _, _ = construct_with_stats(inst, m, rng, maint_prob=0.9)
     assert validate(plan, inst, m).ok
     assert failed < 20
 

@@ -242,9 +242,9 @@ def test_decode_counts_dead_ends(chain):
         vec = rng.integers(1, inst.n + 1, size=inst.n)
         ref_rng = np.random.default_rng(i)
         try:
-            expected = build_cycle(inst, m, ref_rng, 0.5, vec), 0
+            expected = build_cycle(inst, m, ref_rng, 0.5, vec)[0], 0
         except DeadEnd:
-            plan, failed = construct_with_stats(inst, m, ref_rng, 100, 0.5)
+            plan, failed, _, _ = construct_with_stats(inst, m, ref_rng, 100, 0.5)
             expected = plan, failed + 1
         assert decode(vec, inst, m, np.random.default_rng(i)) == expected
         seen.add(min(expected[1], 2))

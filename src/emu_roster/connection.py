@@ -10,8 +10,11 @@ rule is computed; everything else reads its result.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from math import nan
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +25,9 @@ from .timetable import MINUTES_PER_DAY, TimetableInstance
 # build_matrices stores the int objects of this tuple, so the n x n waits of
 # a network share at most 2,880 objects instead of holding one each.
 _WAITS = tuple(range(2 * MINUTES_PER_DAY))
+# The reach of a station whose departures are mixed, some depot-bound and
+# some not: no window check against NaN holds, even an unbounded one.
+_MIXED = (nan, nan)
 
 
 class TrainTables(NamedTuple):
@@ -47,7 +53,19 @@ class ConnectionMatrices:
     time() refuses pairs that cannot connect. departures maps each station to
     the ids of the trains leaving it, ascending: the trains connectable after
     train i are exactly departures[i's arrival station] minus i. tables holds
-    the per-train lists.
+    the per-train lists. reach maps each station with departures to a bound
+    (km, minutes) on what one step from it adds to a rotation's totals: the
+    largest mileage of the trains leaving it, and the longest wait,
+    t_connect + 1439, plus their longest travel time. When totals plus that
+    bound fit both windows, every train leaving the station fits them too;
+    a station whose departures are mixed, some depot-bound and some not,
+    gets (nan, nan), so the bound holds only where all of them are of one
+    kind.
+
+    conn_rows, departures, tables and reach are derived together and are
+    read-only by contract: editing one puts it out of step with the others.
+    Only reach is stored in an immutable form; freezing the rows as tuples
+    would slow build_matrices.
 
     Matrices belong to the instance they were built from: t_connect, the
     depot station and the cycle windows are baked in, so an instance from
@@ -57,6 +75,7 @@ class ConnectionMatrices:
     conn_rows: list[list[int | None]]
     departures: dict[str, tuple[int, ...]]
     tables: TrainTables
+    reach: Mapping[str, tuple[float, float]]
 
     def time(self, i: int, j: int) -> int:
         wait = self.conn_rows[i][j]
@@ -96,14 +115,27 @@ def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
     (dep_j - arr_i) mod 1440, plus 1440 when that falls below t_connect, so it
     lies in [t_connect, t_connect + 1440). It is maintenance-eligible when
     that shared station is the depot. A train never arrives where it departs,
-    so the diagonal never connects.
+    so the diagonal never connects. A station's reach bounds the mileage and
+    the wait plus travel of every pair that connects through it.
     """
     trains = instance.trains
     n = instance.n
     depot = instance.maint_station
     departures: dict[str, list[int]] = {}
+    # per station: the longest mileage and travel time of its departures and
+    # the set of their kinds (depot-bound or not)
+    longest: dict[str, list] = {}
     for t in trains:  # ordered by id
         departures.setdefault(t.dep_station, []).append(t.id)
+        top = longest.get(t.dep_station)
+        if top is None:
+            longest[t.dep_station] = [t.mileage, t.travel_time, {t.arr_station == depot}]
+        else:
+            if t.mileage > top[0]:
+                top[0] = t.mileage
+            if t.travel_time > top[1]:
+                top[1] = t.travel_time
+            top[2].add(t.arr_station == depot)
 
     # Only the trains leaving where train i arrives can follow it, so the walk
     # visits the connecting pairs alone. At the n <= 10 of the exact oracle a
@@ -120,6 +152,11 @@ def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
             row[j - 1] = _WAITS[wait if wait >= t_connect else wait + MINUTES_PER_DAY]
         rows.append(row)
 
+    longest_wait = t_connect + MINUTES_PER_DAY - 1
+    reach = {
+        s: (km, longest_wait + travel) if len(kinds) == 1 else _MIXED
+        for s, (km, travel, kinds) in longest.items()
+    }
     return ConnectionMatrices(
         conn_rows=rows,
         departures={s: tuple(ids) for s, ids in departures.items()},
@@ -129,4 +166,5 @@ def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
             arr_at_depot=[False] + [t.arr_station == depot for t in trains],
             arr_station=[""] + [t.arr_station for t in trains],
         ),
+        reach=MappingProxyType(reach),
     )

@@ -13,8 +13,12 @@ whole attempt with fresh randomness.
 
 Candidates come from the per-station departure index of ConnectionMatrices:
 each attempt keeps, per station, the id-sorted list of unassigned trains
-leaving it, so a step costs O(departures at that station) rather than a sort
-of every unassigned train, and draws from exactly the same candidate lists.
+leaving it. When the running totals plus the station's reach bound fit both
+windows, every train on that list fits and all are of one kind, so a step
+draws straight from the list in O(1); otherwise it scans the list,
+O(departures at that station), with _candidates. Either way it draws from
+the same candidate list with the same single draw, so a seed gives the same
+plan.
 The per-train lists a step reads come from the matrices' tables, built once
 per instance, and the oversize-train check from the instance itself; an
 attempt copies only the departure lists and a placed flag per train id. The
@@ -129,6 +133,7 @@ def build_cycle(
     max_l, max_t = params.max_mileage, params.max_time
     depot = instance.maint_station
     conn_rows = matrices.conn_rows
+    reach = matrices.reach
     random = rng.random  # a uniform double in [0, 1); picks index by int(random() * len)
 
     placed = [False] * (n + 1)
@@ -169,9 +174,15 @@ def build_cycle(
                     # where j arrives fits at the carried-over totals, the next
                     # step would dead-end, so the maintenance arc is cut here (a
                     # depot-bound j needs no look: the depot step after it cuts)
-                    maintain = 0 if _any_fits(free[arr_station[j]], acc_l + mileage[j],
-                                              acc_t + conn + travel[j], conn_rows[j - 1],
-                                              tables, max_l, max_t) else 1
+                    ahead = free[arr_station[j]]
+                    next_l, next_t = acc_l + mileage[j], acc_t + conn + travel[j]
+                    reach_km, reach_min = reach[arr_station[j]]
+                    if next_l + reach_km <= max_l and next_t + reach_min <= max_t:
+                        room_ahead = bool(ahead)  # every departure there fits
+                    else:
+                        room_ahead = _any_fits(ahead, next_l, next_t, conn_rows[j - 1],
+                                               tables, max_l, max_t)
+                    maintain = 0 if room_ahead else 1
         else:
             prev = order[-1]
             conn_row = conn_rows[prev - 1]
@@ -183,7 +194,13 @@ def build_cycle(
             ):
                 j = proposed
             else:
-                away, usable = _candidates(here, acc_l, acc_t, conn_row, tables, max_l, max_t)
+                reach_km, reach_min = reach[arr_station[prev]]
+                if acc_l + reach_km <= max_l and acc_t + reach_min <= max_t:
+                    # every train in here fits both windows and all are of one
+                    # kind: whichever list _candidates returns non-empty is here
+                    away, usable = here, ()
+                else:
+                    away, usable = _candidates(here, acc_l, acc_t, conn_row, tables, max_l, max_t)
                 # the depot-bound fallback may run the windows tight (the
                 # following depot step can force maintenance), but a train
                 # that breaks one outright is unusable
@@ -245,8 +262,9 @@ def construct_with_stats(
         except DeadEnd:
             proposal = None
     raise InfeasibleError(
-        f"construction dead-ended in {attempts} consecutive attempts; on large "
-        f"or tightly timed instances a higher maint_prob usually helps"
+        f"construction dead-ended in {attempts} consecutive attempts; multi-leg "
+        f"chains or tight cycle windows strand the unit beyond the one-station "
+        f"look-ahead, where a higher maint_prob or max_restarts may help"
     )
 
 

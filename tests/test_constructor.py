@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -216,24 +217,57 @@ def test_step_candidates_nothing_connects(fig1, fig1_matrices):
     assert _step_after_train_1(fig1, fig1_matrices, {5}, 520.0, 125) == ([], [])
 
 
-@pytest.mark.parametrize("pairs", [4, 250], ids=lambda p: f"n{2 * p}")
-def test_look_ahead_agrees_with_candidates(pairs):
-    # the depot step's look-ahead asks only whether _candidates finds anything
+def _look_ahead_case(case, fig1):
+    """(instance, rng seed) of a test_look_ahead_agrees_with_candidates case."""
+    if case.startswith("fig1"):
+        # stations A and B send trains both to the depot and away from it
+        unbounded = case == "fig1-unbounded"
+        return (fig1.with_params(l_cycle=math.inf, t_cycle=math.inf) if unbounded else fig1), 1
+    pairs = {"n8": 4, "n500": 250, "tight": 4}[case]
     inst = generate_instance(pairs, 4, seed=pairs)
+    return (inst.with_params(t_cycle=2000) if case == "tight" else inst), pairs
+
+
+@pytest.mark.parametrize("case", ["n8", "n500", "fig1", "fig1-unbounded", "tight"])
+def test_look_ahead_agrees_with_candidates(case, fig1):
+    """The depot step's look-ahead asks only whether _candidates finds
+    anything. Where the totals plus the station's reach fit both windows,
+    build_cycle skips both scans and takes the free list itself: the scans
+    must then keep every train, all of one kind."""
+    inst, seed = _look_ahead_case(case, fig1)
     m = build_matrices(inst)
+    mileage, travel, arr_at_depot, arr_station = m.tables
+    for s, ids in m.departures.items():
+        reach_km, reach_min = m.reach[s]
+        if len({arr_at_depot[j] for j in ids}) > 1:
+            assert math.isnan(reach_km) and math.isnan(reach_min)
+            continue
+        assert all(mileage[j] <= reach_km for j in ids)
+        for i in range(1, inst.n + 1):
+            if arr_station[i] == s:
+                assert all(m.conn_rows[i - 1][j - 1] + travel[j] <= reach_min for j in ids)
+
     max_l, max_t = inst.params.max_mileage, inst.params.max_time
-    rng = np.random.default_rng(pairs)
-    seen = set()
+    # totals are drawn inside the default windows when these are unbounded
+    top_l, top_t = min(max_l, 4200.0), min(max_t, 3024.0)
+    rng = np.random.default_rng(seed)
+    seen, shortcuts = set(), set()
     for _ in range(400):
         prev = int(rng.integers(1, inst.n + 1))
-        here = [j for j in m.departures[inst.train(prev).arr_station] if j != prev]
+        here = [j for j in m.departures[arr_station[prev]] if j != prev]
         free = [j for j in here if rng.random() < 0.7]
-        acc_l, acc_t = rng.uniform(0, max_l), int(rng.integers(0, int(max_t) + 1))
+        acc_l, acc_t = rng.uniform(0, top_l), int(rng.integers(0, int(top_t) + 1))
         args = (free, acc_l, acc_t, m.conn_rows[prev - 1], m.tables, max_l, max_t)
         away, usable = _candidates(*args)
         assert _any_fits(*args) == bool(away or usable)
         seen.add(bool(away or usable))
+        reach_km, reach_min = m.reach[arr_station[prev]]
+        shortcut = acc_l + reach_km <= max_l and acc_t + reach_min <= max_t
+        if shortcut:
+            assert (away, usable) in ((free, []), ([], free))
+        shortcuts.add(shortcut)
     assert seen == {False, True}
+    assert shortcuts == {False, True}
 
 
 def _scored_builds(inst, m, rng, proposals, maint_prob):

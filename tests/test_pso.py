@@ -380,14 +380,29 @@ GOLDEN_SWARM = {
 }
 
 
+def _swarm_sha(pairs, turnbacks, inst_seed, cfg, **solve_kwargs):
+    inst = generate_instance(pairs, turnbacks, seed=inst_seed)
+    m = build_matrices(inst)
+    res = solve(inst, m, SwarmConfig(**dict(cfg)), **solve_kwargs)
+    text = render_plan(res.best_plan, inst, m) + repr(res.trace) + str(res.restarts)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", list(GOLDEN_SWARM))
 def test_golden_swarm_runs(name):
     pairs, turnbacks, inst_seed, cfg, sha = GOLDEN_SWARM[name]
-    inst = generate_instance(pairs, turnbacks, seed=inst_seed)
-    m = build_matrices(inst)
-    res = solve(inst, m, SwarmConfig(**dict(cfg)))
-    text = render_plan(res.best_plan, inst, m) + repr(res.trace) + str(res.restarts)
-    assert hashlib.sha256(text.encode()).hexdigest() == sha
+    assert _swarm_sha(pairs, turnbacks, inst_seed, cfg) == sha
+
+
+# The benchmark's solve-large shape: 500 trains over 8 turn-back stations, a
+# 4 x 5 swarm at maint_prob 0.9 and max_restarts 1000.
+GOLDEN_SOLVE_LARGE = "a1897c6aa8127d315c85f1c281c53e165c5d336b748469cf02b612c61a776947"
+
+
+def test_golden_solve_large_shaped_run():
+    cfg = (("n_particles", 4), ("k_max", 5), ("seed", 1))
+    sha = _swarm_sha(250, 8, 1, cfg, maint_prob=0.9, max_restarts=1000)
+    assert sha == GOLDEN_SOLVE_LARGE
 
 
 @pytest.mark.parametrize("knob", [{"maint_prob": 1.5}, {"max_restarts": -1}],

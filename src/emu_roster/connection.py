@@ -26,7 +26,7 @@ from .timetable import MINUTES_PER_DAY, TimetableInstance
 # a network share at most 2,880 objects instead of holding one each.
 _WAITS = tuple(range(2 * MINUTES_PER_DAY))
 # The reach of a station whose departures are mixed, some depot-bound and
-# some not: no window check against NaN holds, even an unbounded one.
+# some not: no window check against NaN holds.
 _MIXED = (nan, nan)
 
 

@@ -20,8 +20,12 @@ O(departures at that station), with _candidates. Either way it draws from
 the same candidate list with the same single draw, so a seed gives the same
 plan.
 The per-train lists a step reads come from the matrices' tables, built once
-per instance, and the oversize-train check from the instance itself; an
-attempt copies only the departure lists and a placed flag per train id. The
+per instance, and the oversize-train check, the windows and the depot
+station from the instance and its parameters, which cache them; an attempt
+copies only the departure lists and a placed flag per train id. It keeps
+the previous train and whether that train arrives at the depot in locals
+and writes each train and maintenance flag straight to its final position
+in the plan, so nothing is rotated or copied but the two closing tuples. The
 only randomness an attempt takes is rng.random(), so any source of uniform
 doubles with that method serves, such as solve's block-drawn Philox streams.
 
@@ -122,7 +126,8 @@ def build_cycle(
     relaxed, penalty-scored regime); time overruns are never admitted.
     Illegal proposals fall back to the normal random step.
     """
-    n = instance.n
+    trains = instance.trains
+    n = len(trains)
     if instance.oversize is not None:
         raise InfeasibleError(
             f"train {instance.oversize} alone exceeds a maintenance cycle allowance; no plan exists"
@@ -139,34 +144,38 @@ def build_cycle(
     placed = [False] * (n + 1)
     # unassigned departures per station, ascending ids; a train leaves its
     # list when placed
-    free = {s: list(ids) for s, ids in matrices.departures.items()}
+    free = {s: [*ids] for s, ids in matrices.departures.items()}
     depot_free = free.get(depot)
     if not depot_free:
         raise InfeasibleError("no train departs the depot station; no plan exists")
 
-    order: list[int] = []
-    flags: list[int] = []  # flags[d - 1]: maintenance on the arc into position d, from n for d = 1
+    order = [0] * n
+    # maint_after[d]: maintenance on the arc leaving position d + 1; the arc
+    # from the last position closes the cycle into position 1 and is always cut
+    maint_after = [0] * n
+    maint_after[-1] = 1
     waited = 0  # minutes waited on the ordinary arcs so far
     rotation_km: list[float] = []  # mileage of each rotation cut so far
-    for d in range(1, n + 1):
+    prev, at_depot = 0, True  # the train placed last, and whether it ends at the depot
+    for d in range(n):  # position d + 1
         proposed = None
         if proposal is not None:
-            proposed = int(proposal[d - 1])
+            proposed = int(proposal[d])
             if not 0 < proposed <= n or placed[proposed]:
                 proposed = None  # out of range or already placed: repaired below
 
-        if d == 1 or arr_at_depot[order[-1]]:
+        if at_depot:
             here = depot_free
             if not here:
-                raise DeadEnd(f"no depot departure left at position {d}")
+                raise DeadEnd(f"no depot departure left at position {d + 1}")
             # after the depot, connectable means departing it
-            if proposed is not None and instance.trains[proposed - 1].dep_station == depot:
+            if proposed is not None and trains[proposed - 1].dep_station == depot:
                 j = proposed
             else:
                 j = here[int(random() * len(here))]
-            maintain = 1  # the closing arc, into position 1, is always maintained
-            if d > 1:
-                conn = conn_rows[order[-1] - 1][j - 1]
+            maintain = 1  # position 1 opens the first rotation
+            if d:
+                conn = conn_rows[prev - 1][j - 1]
                 fits = acc_l + mileage[j] <= max_l and acc_t + conn + travel[j] <= max_t
                 maintain = 1 if not fits or random() < maint_prob else 0
                 if not maintain and not arr_at_depot[j]:
@@ -184,7 +193,6 @@ def build_cycle(
                                                tables, max_l, max_t)
                     maintain = 0 if room_ahead else 1
         else:
-            prev = order[-1]
             conn_row = conn_rows[prev - 1]
             here = free[arr_station[prev]]
             conn = conn_row[proposed - 1] if proposed is not None else None
@@ -209,28 +217,28 @@ def build_cycle(
                 elif usable:
                     j = usable[int(random() * len(usable))]
                 else:
-                    raise DeadEnd(f"no successor of train {prev} fits at position {d}")
+                    raise DeadEnd(f"no successor of train {prev} fits at position {d + 1}")
             conn = conn_row[j - 1]
             maintain = 0
         if maintain:
-            if d > 1:
+            if d:
+                maint_after[d - 1] = 1
                 rotation_km.append(acc_l)
             acc_l, acc_t = mileage[j], travel[j]
         else:
             waited += conn
             acc_l += mileage[j]
             acc_t += conn + travel[j]
-        order.append(j)
-        flags.append(maintain)
+        order[d] = j
         placed[j] = True
         del here[bisect_left(here, j)]
+        prev, at_depot = j, arr_at_depot[j]
 
-    if not arr_at_depot[order[-1]]:
+    if not at_depot:
         # cannot happen on a flow-balanced instance; guard for odd inputs
         raise DeadEnd("cycle does not end at the depot")
     rotation_km.append(acc_l)  # the last rotation, closed by the arc into position 1
-    plan = CirculationPlan(order=tuple(order), maint_after=tuple(flags[1:] + flags[:1]))
-    return plan, waited, rotation_km
+    return CirculationPlan(tuple(order), tuple(maint_after)), waited, rotation_km
 
 
 def construct_with_stats(

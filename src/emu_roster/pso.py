@@ -22,13 +22,16 @@ particle's stream. Each particle's generator is built once per solve and
 reset, not rebuilt, for every later iteration. It is read through a block
 source that draws BLOCK doubles per generator call and serves them one at a
 time: the same doubles as one scalar call each, at a fraction of the cost.
+A particle's 2n coefficients are the head of one call that draws the whole
+blocks covering them; they go into the swarm's coefficient array as they
+are, and the decode reads the rest of those blocks as a list.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -121,27 +124,34 @@ class _BlockUniforms:
     calls, so serving them from a list changes no draw while each value costs
     a list step instead of a generator call. random() is the only method the
     constructor calls; reset() re-keys the generator to a new (iteration,
-    particle) counter and drops the unread rest of the current block.
+    particle) counter and drops the unread rest of the current block. Right
+    after a reset, take(count) draws the first whole blocks that cover count
+    values in one generator call: it returns the first count as an array and
+    random() serves the rest before the next block.
     """
 
-    __slots__ = ("gen", "key", "_values", "random")
+    __slots__ = ("gen", "key", "_blocks", "random")
 
     def __init__(self, gen: np.random.Generator, key: np.ndarray):
         self.gen, self.key = gen, key
-        self._restart()
-
-    def _restart(self) -> None:
-        gen = self.gen
-        self._values = chain.from_iterable(iter(lambda: gen.random(BLOCK).tolist(), None))
-        self.random = self._values.__next__
+        # one list of BLOCK doubles per step, without end; holds no values itself
+        self._blocks = iter(lambda: gen.random(BLOCK).tolist(), None)
+        self.random = chain.from_iterable(self._blocks).__next__
 
     def reset(self, k: int, m: int) -> None:
         _reset_stream(self.gen, self.key, k, m)
-        self._restart()
+        self.random = chain.from_iterable(self._blocks).__next__
 
-    def take(self, count: int) -> list[float]:
-        """The next count values, as count random() calls would give them."""
-        return list(islice(self._values, count))
+    def take(self, count: int) -> np.ndarray:
+        """The next count values, as count random() calls would give them.
+
+        Only where a block starts, as right after reset(): the values are the
+        head of one gen.random call of whole blocks, whose tail random()
+        serves next.
+        """
+        values = self.gen.random(-(-count // BLOCK) * BLOCK)
+        self.random = chain.from_iterable(chain((values[count:].tolist(),), self._blocks)).__next__
+        return values[:count]
 
 
 def decode(
@@ -218,7 +228,8 @@ def solve(
     trace: list[TracePoint] = []
 
     # Iteration 0 builds every particle with the constructor; the bests start
-    # at inf, so its plans are taken by the same bookkeeping as later ones.
+    # at inf and every fitness is finite (ModelParams refuses non-finite
+    # parameters), so its plans are taken by the same bookkeeping as later ones.
     for k in range(cfg.k_max + 1):
         if k:
             # Particle m's rows are read only by particle m and gbest_pos

@@ -8,6 +8,7 @@ objective weights).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -42,7 +43,8 @@ class ModelParams:
     turnaround; omega1 weighs total connection time, omega2 the per-rotation
     mileage slack; beta multiplies mileage overrun in the penalized fitness.
     l_cycle=4000 km and t_cycle=2880 min are the routine-inspection limits
-    for Chinese high-speed EMUs; the remaining defaults are ours.
+    for Chinese high-speed EMUs; the remaining defaults are ours. Every value
+    must be finite.
     """
 
     l_cycle: float = 4000.0
@@ -54,6 +56,11 @@ class ModelParams:
     beta: float = 10.0
 
     def __post_init__(self):
+        for key in PARAM_KEYS:
+            value = getattr(self, "lam" if key == "lambda" else key)
+            if not math.isfinite(value):
+                # an infinite window or weight makes every fitness inf or NaN
+                raise TimetableError(f"{key} must be finite, got {value!r}")
         if self.l_cycle <= 0 or self.t_cycle <= 0:
             raise TimetableError("cycle limits must be positive")
         if not 0 < self.t_connect <= MINUTES_PER_DAY:
@@ -66,11 +73,11 @@ class ModelParams:
         if self.beta <= 1.0:
             raise TimetableError("beta must exceed 1")
 
-    @property
+    @cached_property
     def max_mileage(self) -> float:
         return (1.0 + self.lam) * self.l_cycle
 
-    @property
+    @cached_property
     def max_time(self) -> float:
         return (1.0 + self.lam) * self.t_cycle
 
@@ -135,7 +142,7 @@ class TimetableInstance:
     def train(self, train_id: int) -> Train:
         return self.trains[train_id - 1]
 
-    @property
+    @cached_property
     def maint_station(self) -> str:
         return next(iter(self.maint_stations))
 
@@ -293,7 +300,7 @@ def parse_timetable(text: str) -> TimetableInstance:
 
     kwargs = {("lam" if k == "lambda" else k): v for k, v in params_seen.items()}
     if "t_connect" in kwargs:
-        if kwargs["t_connect"] != int(kwargs["t_connect"]):
+        if not kwargs["t_connect"].is_integer():  # also refuses inf and NaN
             raise TimetableError("t_connect must be an integer number of minutes")
         kwargs["t_connect"] = int(kwargs["t_connect"])
     params = ModelParams(**kwargs)

@@ -89,6 +89,17 @@ def test_solve_flow_imbalance_is_input_error(tmp_path, capsys):
     assert "flow imbalance" in err
 
 
+def test_solve_infinite_window_is_input_error(tmp_path, capsys):
+    tt = tmp_path / "inf.txt"
+    text = open(FIG1).read()
+    assert "param l_cycle 4000.0\n" in text
+    tt.write_text(text.replace("param l_cycle 4000.0\n", "param l_cycle inf\n"))
+    code, out, err = run(capsys, "solve", str(tt), "--out", str(tmp_path / "p.txt"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: l_cycle must be finite, got inf\n"
+
+
 def test_solve_infeasible_instance_exit_2(tmp_path, capsys):
     tt = tmp_path / "big.txt"
     tt.write_text(

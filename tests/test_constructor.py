@@ -220,9 +220,10 @@ def test_step_candidates_nothing_connects(fig1, fig1_matrices):
 def _look_ahead_case(case, fig1):
     """(instance, rng seed) of a test_look_ahead_agrees_with_candidates case."""
     if case.startswith("fig1"):
-        # stations A and B send trains both to the depot and away from it
+        # stations A and B send trains both to the depot and away from it;
+        # "unbounded" windows are finite (ModelParams refuses inf) but never bind
         unbounded = case == "fig1-unbounded"
-        return (fig1.with_params(l_cycle=math.inf, t_cycle=math.inf) if unbounded else fig1), 1
+        return (fig1.with_params(l_cycle=1e9, t_cycle=1e9) if unbounded else fig1), 1
     pairs = {"n8": 4, "n500": 250, "tight": 4}[case]
     inst = generate_instance(pairs, 4, seed=pairs)
     return (inst.with_params(t_cycle=2000) if case == "tight" else inst), pairs
@@ -248,7 +249,7 @@ def test_look_ahead_agrees_with_candidates(case, fig1):
                 assert all(m.conn_rows[i - 1][j - 1] + travel[j] <= reach_min for j in ids)
 
     max_l, max_t = inst.params.max_mileage, inst.params.max_time
-    # totals are drawn inside the default windows when these are unbounded
+    # totals are drawn inside the default windows when these never bind
     top_l, top_t = min(max_l, 4200.0), min(max_t, 3024.0)
     rng = np.random.default_rng(seed)
     seen, shortcuts = set(), set()

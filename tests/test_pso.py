@@ -203,6 +203,23 @@ def test_block_uniforms_reused_pairs_after_partial_consumption():
         assert [src.random() for _ in range(used)] == scalar_draws(key, k, m, used)
 
 
+@pytest.mark.parametrize("n", [8, BLOCK // 2, 500], ids=["below-block", "one-block", "many-blocks"])
+def test_block_uniforms_coefficient_array_is_scalar_draws(n):
+    # take(2n) draws whole blocks in one call: the coefficients are draws
+    # 0..2n-1 of the stream and the decode's first random() is draw 2n
+    key = _philox_key(23)
+    src = _BlockUniforms(substream(key, 0, 3), key)
+    src.random()  # leave the previous stream mid-block
+    src.reset(4, 3)
+    coefficients = src.take(2 * n)
+    rest = [src.random() for _ in range(2 * BLOCK + 1)]
+    ref = scalar_draws(key, 4, 3, 2 * n + 2 * BLOCK + 1)
+    assert isinstance(coefficients, np.ndarray) and coefficients.shape == (2 * n,)
+    assert coefficients.tolist() == ref[:2 * n]
+    assert rest[0] == ref[2 * n]
+    assert rest == ref[2 * n:]
+
+
 # --- decoding -------------------------------------------------------------------
 
 def test_decode_reproduces_feasible_plan_orders():

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import re
 
 import pytest
@@ -114,6 +116,42 @@ def test_t_connect_at_most_one_day():
     for t_connect in (0, 1441):
         with pytest.raises(TimetableError, match=r"t_connect must lie in \(0, 1440\]"):
             ModelParams(t_connect=t_connect)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", ["l_cycle", "t_cycle", "lam", "t_connect", "omega1", "omega2",
+                                   "beta"])
+def test_non_finite_parameters_refused(field, value):
+    # an infinite window or weight makes every fitness inf or NaN, so no plan
+    # could ever become the swarm's best; the error names the field
+    name = "lambda" if field == "lam" else field
+    with pytest.raises(TimetableError, match=rf"^{name} must be finite"):
+        ModelParams(**{field: value})
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_t_connect_line_refused(fig1_text, value):
+    text = fig1_text.replace("param t_connect 20\n", f"param t_connect {value}\n")
+    assert text != fig1_text
+    with pytest.raises(TimetableError, match="t_connect must be an integer"):
+        parse_timetable(text)
+
+
+def test_cached_windows_follow_with_params():
+    inst = generate_instance(4, 2, seed=1)
+    params = inst.params
+    assert (params.max_mileage, params.max_time, inst.maint_station) == (4200.0, 3024.0, "C")
+    assert {"max_mileage", "max_time"} <= vars(params).keys()  # read once, then cached
+    changed = inst.with_params(lam=0.1)
+    assert changed.params.max_mileage == pytest.approx(4400.0)
+    assert changed.params.max_time == pytest.approx(3168.0)
+    assert changed.maint_station == "C"
+    # the cached values are not fields: a read object still equals and
+    # hashes like a fresh copy of itself
+    fresh = dataclasses.replace(params)
+    assert "max_mileage" not in vars(fresh)
+    assert params == fresh and hash(params) == hash(fresh)
+    assert dataclasses.astuple(params) == dataclasses.astuple(fresh)
 
 
 def test_train_invariants():

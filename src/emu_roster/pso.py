@@ -14,24 +14,27 @@ evaluated concurrently without affecting results.
 
 Iteration 0 is the first pass of the same particle loop: each particle is
 built by the constructor with no proposal, then scored and recorded like any
-later plan. Every later iteration is one array step: every
-particle's stream is reset to its (iteration, particle) counter and its
-random coefficients are drawn first, then one velocity/position update moves
-the whole swarm, then each proposal is decoded with the rest of its
-particle's stream. Each particle's generator is built once per solve and
-reset, not rebuilt, for every later iteration. It is read through a block
-source that draws BLOCK doubles per generator call and serves them one at a
-time: the same doubles as one scalar call each, at a fraction of the cost.
-A particle's 2n coefficients are the head of one call that draws the whole
-blocks covering them; they go into the swarm's coefficient array as they
-are, and the decode reads the rest of those blocks as a list.
+later plan. Every later iteration is one array step: every particle's stream
+is re-keyed to its (iteration, particle) counter and fills the particle's row
+of 4n doubles in one generator call, then one velocity/position update moves
+the whole swarm with the first 2n of each row as its coefficients, then each
+proposal is decoded with the rest of its particle's stream. Each particle's
+generator is built once per solve and re-keyed, not rebuilt, for every later
+iteration. The decode reads the row's last 2n doubles first: a first attempt
+draws at most 2n - 1 (a pick per position and a maintenance coin per
+position after the first, none for a taken proposal), so a decode that does
+not restart makes no further generator call. Restarts read on from blocks of
+BLOCK doubles per generator call, as does iteration 0; the same doubles as
+one scalar call each, at a fraction of the cost.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -57,8 +60,22 @@ class SwarmConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for name in ("n_particles", "k_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_particles < 1 or self.k_max < 1:
             raise ValueError("need at least one particle and one iteration")
+        for name in ("w_max", "w_min", "c1", "c2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        # -inf and inf leave the clamp open on their side; NaN, or an infinity
+        # on the other side, makes every velocity NaN or infinite
+        for name, open_end in (("v_min", -math.inf), ("v_max", math.inf)):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) or value == open_end):
+                raise ValueError(f"{name} must be finite or {open_end}, got {value!r}")
         if self.w_max < self.w_min:
             raise ValueError("w_max must be >= w_min")
         if self.v_min is not None and self.v_max is not None and self.v_min > self.v_max:
@@ -78,7 +95,8 @@ def update_velocity(v, x, p_g_d, p_m_d, w: float, c1: float, c2: float, r1, r2,
     whole swarm's (particles, dimensions) arrays. c1 weighs the global best
     and c2 the personal best (with equal defaults the distinction is moot).
     """
-    return np.clip(w * v + c1 * r1 * (p_g_d - x) + c2 * r2 * (p_m_d - x), v_min, v_max)
+    return np.minimum(np.maximum(w * v + c1 * r1 * (p_g_d - x) + c2 * r2 * (p_m_d - x), v_min),
+                      v_max)
 
 
 def update_position(x, v_new, n: int):
@@ -87,8 +105,10 @@ def update_position(x, v_new, n: int):
     Scalars or arrays; the result is int64.
     """
     y = x + v_new
-    rounded = np.where(y >= 0, np.floor(y + 0.5), np.ceil(y - 0.5))
-    return np.clip(rounded, 1, n).astype(np.int64)
+    # y + copysign(0.5, y) is the operand of floor(y + 0.5) for y >= 0 and of
+    # ceil(y - 0.5) below, and trunc rounds it as they do; only y = -0.0
+    # differs (-0.0 against 0.0), which the clamp into [1, n] absorbs
+    return np.minimum(np.maximum(np.trunc(y + np.copysign(0.5, y)), 1), n).astype(np.int64)
 
 
 def _philox_key(seed: int) -> np.ndarray:
@@ -101,57 +121,40 @@ def substream(key: np.ndarray, k: int, m: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def _reset_stream(rng: np.random.Generator, key: np.ndarray, k: int, m: int) -> None:
-    """Put a Philox generator in the state substream(key, k, m) starts in.
-
-    Same draws as a new substream at a fraction of its cost: the counter is set
-    and the buffered words of the previous stream are dropped.
-    """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, m, k), "key": key},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,  # buffer empty
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 class _BlockUniforms:
-    """The float64 uniforms of one Philox generator, drawn BLOCK at a time.
+    """The float64 uniforms of one Philox generator, served one at a time.
 
-    gen.random(BLOCK) yields the same doubles as BLOCK scalar gen.random()
-    calls, so serving them from a list changes no draw while each value costs
-    a list step instead of a generator call. random() is the only method the
-    constructor calls; reset() re-keys the generator to a new (iteration,
-    particle) counter and drops the unread rest of the current block. Right
-    after a reset, take(count) draws the first whole blocks that cover count
-    values in one generator call: it returns the first count as an array and
-    random() serves the rest before the next block.
+    reset(k, m) re-keys the generator to the state substream(key, k, m)
+    starts in and fills row, the particle's 4n lanes of the swarm's
+    coefficient array, with its first 4n doubles in one generator call.
+    The first 2n lanes are the caller's velocity coefficients; random(), the
+    only method the constructor calls, serves the last 2n and then blocks of
+    BLOCK doubles per generator call. Before the first reset (iteration 0)
+    it serves blocks only. A fill or a block gives exactly the doubles of as
+    many scalar gen.random() calls, so no draw changes, while a value costs a
+    list step instead of a generator call.
     """
 
-    __slots__ = ("gen", "key", "_blocks", "random")
+    __slots__ = ("gen", "row", "_tail", "_state", "_counter", "_blocks", "random")
 
-    def __init__(self, gen: np.random.Generator, key: np.ndarray):
-        self.gen, self.key = gen, key
+    def __init__(self, gen: np.random.Generator, key: np.ndarray, row: np.ndarray):
+        self.gen, self.row = gen, row
+        self._tail = memoryview(row[len(row) // 2:])
+        # Philox's state with an empty buffer and no cached half word; a
+        # reset replaces only the counter, (0, 0, m, k) as in substream. The
+        # key as Python ints: the state setter reads them faster than uint64s
+        self._counter = {"counter": (0, 0, 0, 0), "key": tuple(key.tolist())}
+        self._state = {"bit_generator": "Philox", "state": self._counter,
+                       "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         # one list of BLOCK doubles per step, without end; holds no values itself
         self._blocks = iter(lambda: gen.random(BLOCK).tolist(), None)
         self.random = chain.from_iterable(self._blocks).__next__
 
     def reset(self, k: int, m: int) -> None:
-        _reset_stream(self.gen, self.key, k, m)
-        self.random = chain.from_iterable(self._blocks).__next__
-
-    def take(self, count: int) -> np.ndarray:
-        """The next count values, as count random() calls would give them.
-
-        Only where a block starts, as right after reset(): the values are the
-        head of one gen.random call of whole blocks, whose tail random()
-        serves next.
-        """
-        values = self.gen.random(-(-count // BLOCK) * BLOCK)
-        self.random = chain.from_iterable(chain((values[count:].tolist(),), self._blocks)).__next__
-        return values[:count]
+        self._counter["counter"] = (0, 0, m, k)
+        self.gen.bit_generator.state = self._state
+        self.gen.random(out=self.row)
+        self.random = chain(self._tail, chain.from_iterable(self._blocks)).__next__
 
 
 def decode(
@@ -217,11 +220,13 @@ def solve(
     positions = np.zeros((n_p, n), dtype=np.int64)
     velocities = np.zeros((n_p, n), dtype=np.float64)
     pbest_pos = np.zeros((n_p, n), dtype=np.int64)
-    pbest_fit = np.full(n_p, np.inf)
+    pbest_fit = [np.inf] * n_p
     gbest_fit = np.inf
     gbest_pos = pbest_pos[0]  # replaced at the end of iteration 0
-    streams = [_BlockUniforms(substream(key, 0, m), key) for m in range(n_p)]
-    r = np.empty((n_p, 2 * n))
+    # per particle: r1 in lanes [0, n), r2 in [n, 2n), and in [2n, 4n) the
+    # draws its decode reads first
+    r = np.empty((n_p, 4 * n))
+    streams = [_BlockUniforms(substream(key, 0, m), key, r[m]) for m in range(n_p)]
 
     best_feasible_fit = np.inf
     best_feasible_plan: CirculationPlan | None = None
@@ -238,10 +243,9 @@ def solve(
             # of doing it particle by particle.
             for m, rng in enumerate(streams):
                 rng.reset(k, m)
-                r[m] = rng.take(2 * n)
             velocities = update_velocity(velocities, positions, gbest_pos, pbest_pos,
                                          inertia_weight(k, cfg), cfg.c1, cfg.c2,
-                                         r[:, :n], r[:, n:], v_min, v_max)
+                                         r[:, :n], r[:, n:2 * n], v_min, v_max)
             proposed = update_position(positions, velocities, n).tolist()
 
         feasible_now = 0
@@ -259,10 +263,10 @@ def solve(
                 if fit < best_feasible_fit:
                     best_feasible_fit, best_feasible_plan = fit, plan
 
-        g = int(np.argmin(pbest_fit))
-        if float(pbest_fit[g]) < gbest_fit:
-            gbest_fit = float(pbest_fit[g])
-            gbest_pos = pbest_pos[g].copy()
+        best = min(pbest_fit)
+        if best < gbest_fit:
+            gbest_fit = best
+            gbest_pos = pbest_pos[pbest_fit.index(best)].copy()  # the lowest index of equal bests
         trace.append(TracePoint(k, gbest_fit, feasible_now / n_p))
 
     assert best_feasible_plan is not None  # initial swarm is feasible by construction

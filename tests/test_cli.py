@@ -301,6 +301,20 @@ def test_config_file_rejects_out_of_range_knobs(tmp_path, capsys, line, message)
     assert f"{cfgf}:2: {message}" in err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("v_max = nan", "v_max must be finite or inf, got nan"),
+    ("c1 = inf", "c1 must be finite, got inf"),
+    ("w_min = -inf", "w_min must be finite, got -inf"),
+])
+def test_config_file_rejects_non_finite_swarm_values(tmp_path, capsys, line, message):
+    cfgf = tmp_path / "swarm.cfg"
+    cfgf.write_text(f"{line}\n")
+    plan_path = tmp_path / "p.txt"
+    code, out, err = run(capsys, "solve", FIG1, "--out", str(plan_path), "--config", str(cfgf))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not plan_path.exists()
+
+
 def test_constructor_knob_range_ends_are_accepted(tmp_path, capsys):
     for flags in (("--maint-prob", "0"), ("--maint-prob", "1"), ("--max-restarts", "0")):
         code, _, err = run(capsys, "solve", FIG1, "--out", str(tmp_path / "p.txt"), *flags,

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from emu_roster import (
     validate,
 )
 from emu_roster.constructor import DeadEnd, build_cycle, construct_with_stats
-from emu_roster.pso import BLOCK, _BlockUniforms, _philox_key, _reset_stream, substream
+from emu_roster.pso import BLOCK, _BlockUniforms, _philox_key, substream
 
 CFG = SwarmConfig(n_particles=8, k_max=40, seed=5)
 
@@ -113,6 +115,37 @@ def test_vectorized_updates_match_scalar_ops():
         assert pos[d] == min(max(rounded, 1), n)
 
 
+def test_array_step_edge_grid_matches_scalar_formula():
+    # exact k.5 ties, signed zeros, values beyond both velocity clamps and
+    # beyond [1, n], magnitudes up to 1e6: the array step equals the scalar
+    # min/max/floor/ceil formula bit for bit
+    n = 12
+    half_ulp_below = math.nextafter(0.5, 0)
+    grid = ([k + 0.5 for k in range(-15, 15)] + [float(k) for k in range(-14, 15)]
+            + [0.0, -0.0, half_ulp_below, -half_ulp_below, 2.9999999, -2.9999999, 3.0000001,
+               -3.0000001, 1e6, -1e6, 1e6 + 0.5, -1e6 - 0.5, 123456.5, -123456.5])
+    v = np.array(grid)
+    for v_min, v_max in [(-3.0, 3.0), (-n / 2, n / 2), (-math.inf, math.inf), (-1.5, 2.5)]:
+        # w = 1 and r = 0: the clamp sees each grid value (-0.0 becomes 0.0)
+        vel = update_velocity(v, 4, 7, 9, 1.0, 2.0, 2.0, 0.0, 0.0, v_min, v_max)
+        ref = [min(max(1.0 * g + 2.0 * 0.0 * (7 - 4) + 2.0 * 0.0 * (9 - 4), v_min), v_max)
+               for g in grid]
+        assert vel.tobytes() == np.array(ref).tobytes()
+    for x in (0, 1, 5, n, -0.0):  # -0.0 + -0.0 is the only way to y = -0.0
+        pos = update_position(np.full(len(grid), x), v, n)
+        assert pos.dtype == np.int64
+        for d, g in enumerate(grid):
+            y = x + g
+            rounded = math.floor(y + 0.5) if y >= 0 else math.ceil(y - 0.5)
+            assert pos[d] == min(max(rounded, 1), n), (x, g)
+    # the rounding itself, before the clamp: trunc(y + copysign(0.5, y)) is
+    # floor(y + 0.5) or ceil(y - 0.5) on every grid value but -0.0
+    for g in grid:
+        rounded = math.floor(g + 0.5) if g >= 0 else math.ceil(g - 0.5)
+        assert update_position(g, 0.0, 2 * 10**6) == min(max(rounded, 1), 2 * 10**6)
+        assert update_position(g, 0.0, 2 * 10**6) == max(math.trunc(g + math.copysign(0.5, g)), 1)
+
+
 # --- counter-based randomness --------------------------------------------------
 
 def test_substreams_independent_of_evaluation_order():
@@ -141,20 +174,24 @@ def test_substream_reproducible():
     lambda g: g.bit_generator.random_raw(2),  # buffer part consumed
 ], ids=["fresh", "doubles", "integers", "odd-uint32", "raw"])
 def test_reset_stream_matches_substream(leftover):
-    # solve() builds one generator per particle and resets it for every later
-    # iteration; whatever the previous stream left behind, the draws must be
-    # exactly those of a newly built substream
-    key = _philox_key(11)
-    rng = substream(key, 0, 4)
-    for k, m in [(1, 4), (2, 0), (500, 29), (2**40, 7), (3, 3)]:
-        leftover(rng)
-        _reset_stream(rng, key, k, m)
-        ref = substream(key, k, m)
-        # a 32-bit draw first: it would return a stale cached half word
-        assert (rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
-                == ref.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
-        assert rng.random(9).tolist() == ref.random(9).tolist()
-        assert rng.integers(0, 1000, size=4).tolist() == ref.integers(0, 1000, size=4).tolist()
+    # solve() builds one generator per particle and re-keys it for every later
+    # iteration; whatever the previous stream left behind, the row and the
+    # draws after it must be exactly those of a newly built substream
+    n = 5
+    for seed in (11, 19):  # both key words of seed 19 lie above 2**63
+        key = _philox_key(seed)
+        src = _BlockUniforms(substream(key, 0, 4), key, np.empty(4 * n))
+        rng = src.gen
+        for k, m in [(1, 4), (2, 0), (500, 29), (2**40, 7), (3, 3)]:
+            leftover(rng)
+            src.reset(k, m)
+            ref = substream(key, k, m)
+            assert src.row.tolist() == ref.random(4 * n).tolist()
+            # a 32-bit draw: it would return a stale cached half word
+            assert (rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+                    == ref.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
+            assert rng.random(9).tolist() == ref.random(9).tolist()
+            assert rng.integers(0, 1000, size=4).tolist() == ref.integers(0, 1000, size=4).tolist()
 
 
 def scalar_draws(key, k, m, count):
@@ -163,61 +200,130 @@ def scalar_draws(key, k, m, count):
     return [ref.random() for _ in range(count)]
 
 
+def block_source(key, m, n):
+    """A particle's source as solve() builds it, over a row of 4n doubles."""
+    return _BlockUniforms(substream(key, 0, m), key, np.empty(4 * n))
+
+
 def test_block_uniforms_cross_block_boundaries():
     key = _philox_key(13)
-    src = _BlockUniforms(substream(key, 0, 2), key)
+    src = block_source(key, 2, 8)
     count = 2 * BLOCK + 5
     assert [src.random() for _ in range(count)] == scalar_draws(key, 0, 2, count)
 
 
 def test_block_uniforms_reset_mid_block():
     key = _philox_key(13)
-    src = _BlockUniforms(substream(key, 0, 0), key)
+    n = 8
+    src = block_source(key, 0, n)
     for _ in range(BLOCK // 2):
         src.random()
     src.reset(3, 1)
-    assert [src.random() for _ in range(BLOCK + 3)] == scalar_draws(key, 3, 1, BLOCK + 3)
+    # random() serves the row's last 2n lanes, then the stream after the row
+    served = scalar_draws(key, 3, 1, 2 * n + BLOCK + 3)[2 * n:]
+    assert [src.random() for _ in range(BLOCK + 3)] == served
 
 
 def test_block_uniforms_coefficient_fill_spans_two_blocks():
-    # solve() takes the 2n velocity coefficients first, then the decode reads
-    # the rest of the stream one value at a time
+    # solve() reads the 2n velocity coefficients from the row's head, then the
+    # decode reads the rest of the stream one value at a time
     key = _philox_key(17)
-    src = _BlockUniforms(substream(key, 0, 5), key)
     n = BLOCK // 2 + 3
+    src = block_source(key, 5, n)
     src.reset(9, 5)
-    r = np.empty(2 * n)
-    r[:] = src.take(2 * n)
+    r = src.row[:2 * n]
     rest = [src.random() for _ in range(BLOCK)]
     ref = substream(key, 9, 5)
-    assert r.tolist() == ref.random(2 * n).tolist()  # the former out= fill
+    assert r.tolist() == ref.random(2 * n).tolist()
     assert rest == [ref.random() for _ in range(BLOCK)]
 
 
 def test_block_uniforms_reused_pairs_after_partial_consumption():
     key = _philox_key(19)
-    src = _BlockUniforms(substream(key, 0, 0), key)
+    n = 8
+    src = block_source(key, 0, n)
     for k, m, used in [(1, 0, 3), (2, 1, BLOCK), (1, 0, BLOCK + 1), (2, 1, 0), (1, 0, 7),
                        (2, 1, 2 * BLOCK - 1)]:
         src.reset(k, m)
-        assert [src.random() for _ in range(used)] == scalar_draws(key, k, m, used)
+        assert [src.random() for _ in range(used)] == scalar_draws(key, k, m, 2 * n + used)[2 * n:]
 
 
 @pytest.mark.parametrize("n", [8, BLOCK // 2, 500], ids=["below-block", "one-block", "many-blocks"])
 def test_block_uniforms_coefficient_array_is_scalar_draws(n):
-    # take(2n) draws whole blocks in one call: the coefficients are draws
-    # 0..2n-1 of the stream and the decode's first random() is draw 2n
+    # reset fills the row in one call: it holds draws 0..4n-1 of the stream,
+    # the coefficients are its head, the decode's first random() is draw 2n
+    # and, once the row's tail is read, the next is draw 4n, from a block
     key = _philox_key(23)
-    src = _BlockUniforms(substream(key, 0, 3), key)
-    src.random()  # leave the previous stream mid-block
-    src.reset(4, 3)
-    coefficients = src.take(2 * n)
-    rest = [src.random() for _ in range(2 * BLOCK + 1)]
-    ref = scalar_draws(key, 4, 3, 2 * n + 2 * BLOCK + 1)
-    assert isinstance(coefficients, np.ndarray) and coefficients.shape == (2 * n,)
-    assert coefficients.tolist() == ref[:2 * n]
-    assert rest[0] == ref[2 * n]
-    assert rest == ref[2 * n:]
+    for leftover in (lambda s: s.random(),  # the previous stream left mid-block
+                     lambda s: s.gen.integers(0, 2**32, size=3, dtype=np.uint32)):  # half word
+        src = block_source(key, 3, n)
+        leftover(src)
+        src.reset(4, 3)
+        coefficients = src.row[:2 * n]
+        rest = [src.random() for _ in range(2 * n + 2 * BLOCK + 1)]
+        ref = scalar_draws(key, 4, 3, 4 * n + 2 * BLOCK + 1)
+        assert src.row.tolist() == ref[:4 * n]
+        assert isinstance(coefficients, np.ndarray) and coefficients.shape == (2 * n,)
+        assert coefficients.tolist() == ref[:2 * n]
+        assert rest[0] == ref[2 * n]
+        assert rest[2 * n] == ref[4 * n]
+        assert rest == ref[2 * n:]
+
+
+class _CountingUniforms:
+    """random() of a generator, counting the calls."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, 0
+
+    def random(self):
+        self.calls += 1
+        return self.gen.random()
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (4, 1), (5, 2), (250, 8), "fig1", "chain"])
+def test_first_attempt_draws_at_most_2n_minus_1(shape, fig1, chain):
+    # a pick per position and a coin per depot step after the first: a guided
+    # or unguided attempt, finished or dead-ended, never reads past the row's
+    # 2n-double tail
+    inst = {"fig1": fig1, "chain": chain}.get(shape) or generate_instance(*shape, seed=3)
+    m = build_matrices(inst)
+    n = inst.n
+    rng = np.random.default_rng(5)
+    most = 0
+    for i in range(40 if n > 100 else 300):
+        counter = _CountingUniforms(np.random.default_rng(i))
+        proposal = None if i % 4 == 0 else rng.integers(1, n + 1, size=n).tolist()
+        try:
+            build_cycle(inst, m, counter, float(rng.random()), proposal)
+        except DeadEnd:
+            pass
+        most = max(most, counter.calls)
+    assert 0 < most <= 2 * n - 1
+
+
+@pytest.mark.parametrize("name", ["fig1", "chain"])
+def test_reset_source_decodes_as_fresh_substream(name, fig1, chain):
+    # a guided decode fed by the re-keyed source is the decode fed by a fresh
+    # substream after its 2n coefficients; on chain the guided walk dead-ends
+    # and the restarts read past the row into BLOCK lists
+    inst = {"fig1": fig1, "chain": chain}[name]
+    m = build_matrices(inst)
+    n = inst.n
+    key = _philox_key(29)
+    src = block_source(key, 0, n)
+    rng = np.random.default_rng(3)
+    beyond_row = 0
+    for k in range(1, 61):
+        vec = rng.integers(1, n + 1, size=n).tolist()
+        src.reset(k, 0)
+        got = construct_with_stats(inst, m, src, 100, 0.5, vec)
+        ref = substream(key, k, 0)
+        ref.random(2 * n)
+        counter = _CountingUniforms(ref)
+        assert got == construct_with_stats(inst, m, counter, 100, 0.5, vec)
+        beyond_row += counter.calls > 2 * n
+    assert beyond_row
 
 
 # --- decoding -------------------------------------------------------------------
@@ -360,6 +466,37 @@ def test_config_validation():
         SwarmConfig(n_particles=0)
     with pytest.raises(ValueError):
         SwarmConfig(w_max=0.1, w_min=0.5)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("w_max", math.inf, "w_max must be finite, got inf"),
+    ("w_max", math.nan, "w_max must be finite, got nan"),
+    ("w_min", -math.inf, "w_min must be finite, got -inf"),
+    ("c1", math.nan, "c1 must be finite, got nan"),
+    ("c2", math.inf, "c2 must be finite, got inf"),
+    ("v_min", math.nan, "v_min must be finite or -inf, got nan"),
+    ("v_min", math.inf, "v_min must be finite or -inf, got inf"),
+    ("v_max", math.nan, "v_max must be finite or inf, got nan"),
+    ("v_max", -math.inf, "v_max must be finite or inf, got -inf"),
+    ("n_particles", 2.0, "n_particles must be an integer, got 2.0"),
+    ("n_particles", True, "n_particles must be an integer, got True"),
+    ("k_max", 7.5, "k_max must be an integer, got 7.5"),
+    ("k_max", False, "k_max must be an integer, got False"),
+])
+def test_config_refuses_non_finite_and_non_integer_values(field, value, message):
+    # a NaN coefficient or bound turns every velocity into NaN, which the
+    # position step casts to garbage ids: every proposal is then repaired
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SwarmConfig(**{field: value})
+
+
+def test_config_open_velocity_clamp_is_accepted(fig1, fig1_matrices):
+    cfg = SwarmConfig(n_particles=4, k_max=10, v_min=-math.inf, v_max=math.inf)
+    assert SwarmConfig(n_particles=np.int64(4), k_max=10).n_particles == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solve(fig1, fig1_matrices, cfg)
+    assert validate(res.best_plan, fig1, fig1_matrices).ok
 
 
 def test_fitness_reduces_to_connection_time_without_slack_weight(fig1, fig1_matrices):

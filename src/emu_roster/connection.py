@@ -62,10 +62,16 @@ class ConnectionMatrices:
     gets (nan, nan), so the bound holds only where all of them are of one
     kind.
 
-    conn_rows, departures, tables and reach are derived together and are
-    read-only by contract: editing one puts it out of step with the others.
-    Only reach is stored in an immutable form; freezing the rows as tuples
-    would slow build_matrices.
+    The constructor's step reads a station by list subscript rather than by
+    name: a station's slot is its place in departures, which lists the depot
+    first when any train leaves it. arr_slot and arr_reach, lists by train id
+    (entry 0 is padding), give the slot and the reach of the station where
+    the train arrives.
+
+    conn_rows, departures, tables, reach and the two lists are derived
+    together and are read-only by contract: editing one puts it out of step
+    with the others. Only reach is stored in an immutable form; freezing the
+    rows as tuples would slow build_matrices.
 
     Matrices belong to the instance they were built from: t_connect, the
     depot station and the cycle windows are baked in, so an instance from
@@ -76,6 +82,8 @@ class ConnectionMatrices:
     departures: dict[str, tuple[int, ...]]
     tables: TrainTables
     reach: Mapping[str, tuple[float, float]]
+    arr_slot: list[int]
+    arr_reach: list[tuple[float, float]]
 
     def time(self, i: int, j: int) -> int:
         wait = self.conn_rows[i][j]
@@ -121,7 +129,7 @@ def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
     trains = instance.trains
     n = instance.n
     depot = instance.maint_station
-    departures: dict[str, list[int]] = {}
+    departures: dict[str, list[int]] = {depot: []}  # the depot first: slot 0
     # per station: the longest mileage and travel time of its departures and
     # the set of their kinds (depot-bound or not)
     longest: dict[str, list] = {}
@@ -157,6 +165,9 @@ def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
         s: (km, longest_wait + travel) if len(kinds) == 1 else _MIXED
         for s, (km, travel, kinds) in longest.items()
     }
+    if not departures[depot]:
+        del departures[depot]
+    slot = {s: k for k, s in enumerate(departures)}
     return ConnectionMatrices(
         conn_rows=rows,
         departures={s: tuple(ids) for s, ids in departures.items()},
@@ -167,4 +178,6 @@ def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
             arr_station=[""] + [t.arr_station for t in trains],
         ),
         reach=MappingProxyType(reach),
+        arr_slot=[0] + [slot[t.arr_station] for t in trains],
+        arr_reach=[_MIXED] + [reach[t.arr_station] for t in trains],
     )

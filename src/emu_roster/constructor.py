@@ -12,22 +12,28 @@ ends, still possible on multi-leg chains and under tight windows, restart the
 whole attempt with fresh randomness.
 
 Candidates come from the per-station departure index of ConnectionMatrices:
-each attempt keeps, per station, the id-sorted list of unassigned trains
-leaving it. When the running totals plus the station's reach bound fit both
-windows, every train on that list fits and all are of one kind, so a step
-draws straight from the list in O(1); otherwise it scans the list,
+each attempt keeps, per station slot, the id-sorted list of unassigned
+trains leaving it. When the running totals plus the station's reach bound
+fit both windows, every train on that list fits and all are of one kind, so
+a step draws straight from the list in O(1); otherwise it scans the list,
 O(departures at that station), with _candidates. Either way it draws from
 the same candidate list with the same single draw, so a seed gives the same
-plan.
-The per-train lists a step reads come from the matrices' tables, built once
-per instance, and the oversize-train check, the windows and the depot
-station from the instance and its parameters, which cache them; an attempt
-copies only the departure lists and a placed flag per train id. It keeps
-the previous train and whether that train arrives at the depot in locals
-and writes each train and maintenance flag straight to its final position
-in the plan, so nothing is rotated or copied but the two closing tuples. The
-only randomness an attempt takes is rng.random(), so any source of uniform
-doubles with that method serves, such as solve's block-drawn Philox streams.
+plan. A train drawn by index from the free list leaves it by list.pop of
+that index; only a taken proposal or a pick from _candidates' filtered list
+is found in the free list by bisection.
+The per-train lists a step reads come from the matrices, built once per
+instance: the tables, and the slot and reach of the station where each
+train arrives, so a step reads a station's free list and reach by list
+subscript. The oversize-train check, the windows and the depot station come
+from the instance and its parameters, which cache them; an attempt copies
+only the departure lists and a placed flag per train id. It keeps the
+previous train, its connection row (fetched once per step; after a depot
+arrival it also tells which trains depart the depot) and whether that train
+arrives at the depot in locals, and writes each train and maintenance flag
+straight to its final position in the plan, so nothing is rotated or copied
+but the two closing tuples. The only randomness an attempt takes is
+rng.random(), so any source of uniform doubles with that method serves,
+such as solve's block-drawn Philox streams.
 
 The same stepping engine also serves the swarm decoder: a caller may supply
 a proposed train per position, which is taken whenever it is legal at that
@@ -133,21 +139,22 @@ def build_cycle(
             f"train {instance.oversize} alone exceeds a maintenance cycle allowance; no plan exists"
         )
     tables = matrices.tables
-    mileage, travel, arr_at_depot, arr_station = tables
+    mileage, travel, arr_at_depot, _ = tables
     params = instance.params
     max_l, max_t = params.max_mileage, params.max_time
     depot = instance.maint_station
     conn_rows = matrices.conn_rows
-    reach = matrices.reach
+    arr_slot, arr_reach = matrices.arr_slot, matrices.arr_reach
     random = rng.random  # a uniform double in [0, 1); picks index by int(random() * len)
 
-    placed = [False] * (n + 1)
-    # unassigned departures per station, ascending ids; a train leaves its
-    # list when placed
-    free = {s: [*ids] for s, ids in matrices.departures.items()}
-    depot_free = free.get(depot)
-    if not depot_free:
+    departures = matrices.departures
+    if depot not in departures:
         raise InfeasibleError("no train departs the depot station; no plan exists")
+    placed = [False] * (n + 1)
+    # unassigned departures per station slot, ascending ids, the depot's at
+    # slot 0; a train leaves its list when placed
+    free = [[*ids] for ids in departures.values()]
+    depot_free = free[0]
 
     order = [0] * n
     # maint_after[d]: maintenance on the arc leaving position d + 1; the arc
@@ -156,7 +163,8 @@ def build_cycle(
     maint_after[-1] = 1
     waited = 0  # minutes waited on the ordinary arcs so far
     rotation_km: list[float] = []  # mileage of each rotation cut so far
-    prev, at_depot = 0, True  # the train placed last, and whether it ends at the depot
+    # the train placed last, its connection row, and whether it ends at the depot
+    prev, prev_row, at_depot = 0, None, True
     for d in range(n):  # position d + 1
         proposed = None
         if proposal is not None:
@@ -168,71 +176,74 @@ def build_cycle(
             here = depot_free
             if not here:
                 raise DeadEnd(f"no depot departure left at position {d + 1}")
-            # after the depot, connectable means departing it
-            if proposed is not None and trains[proposed - 1].dep_station == depot:
+            # after the depot, connectable means departing it, which prev's
+            # row tells from position 2 on
+            if proposed is not None and (
+                prev_row[proposed - 1] is not None if d
+                else trains[proposed - 1].dep_station == depot
+            ):
                 j = proposed
+                del here[bisect_left(here, j)]
             else:
-                j = here[int(random() * len(here))]
-            maintain = 1  # position 1 opens the first rotation
+                j = here.pop(int(random() * len(here)))
             if d:
-                conn = conn_rows[prev - 1][j - 1]
-                fits = acc_l + mileage[j] <= max_l and acc_t + conn + travel[j] <= max_t
-                maintain = 1 if not fits or random() < maint_prob else 0
+                conn = prev_row[j - 1]
+                next_l, next_t = acc_l + mileage[j], acc_t + conn + travel[j]
+                # compulsory when continuing breaks a window, else the coin's
+                maintain = not (next_l <= max_l and next_t <= max_t) or random() < maint_prob
                 if not maintain and not arr_at_depot[j]:
                     # look one station ahead, drawing nothing: when no departure
                     # where j arrives fits at the carried-over totals, the next
                     # step would dead-end, so the maintenance arc is cut here (a
                     # depot-bound j needs no look: the depot step after it cuts)
-                    ahead = free[arr_station[j]]
-                    next_l, next_t = acc_l + mileage[j], acc_t + conn + travel[j]
-                    reach_km, reach_min = reach[arr_station[j]]
+                    ahead = free[arr_slot[j]]
+                    reach_km, reach_min = arr_reach[j]
                     if next_l + reach_km <= max_l and next_t + reach_min <= max_t:
-                        room_ahead = bool(ahead)  # every departure there fits
+                        maintain = not ahead  # every departure there fits
                     else:
-                        room_ahead = _any_fits(ahead, next_l, next_t, conn_rows[j - 1],
-                                               tables, max_l, max_t)
-                    maintain = 0 if room_ahead else 1
+                        maintain = not _any_fits(ahead, next_l, next_t, conn_rows[j - 1],
+                                                 tables, max_l, max_t)
+                if maintain:
+                    maint_after[d - 1] = 1
+                    rotation_km.append(acc_l)
+                    acc_l, acc_t = mileage[j], travel[j]
+                else:
+                    waited += conn
+                    acc_l, acc_t = next_l, next_t
+            else:
+                acc_l, acc_t = mileage[j], travel[j]  # position 1 opens the first rotation
         else:
-            conn_row = conn_rows[prev - 1]
-            here = free[arr_station[prev]]
-            conn = conn_row[proposed - 1] if proposed is not None else None
+            here = free[arr_slot[prev]]
+            conn = prev_row[proposed - 1] if proposed is not None else None
             # only a depot-bound proposal may break the mileage window
             if conn is not None and acc_t + conn + travel[proposed] <= max_t and (
                 arr_at_depot[proposed] or acc_l + mileage[proposed] <= max_l
             ):
                 j = proposed
+                del here[bisect_left(here, j)]
             else:
-                reach_km, reach_min = reach[arr_station[prev]]
-                if acc_l + reach_km <= max_l and acc_t + reach_min <= max_t:
+                reach_km, reach_min = arr_reach[prev]
+                if here and acc_l + reach_km <= max_l and acc_t + reach_min <= max_t:
                     # every train in here fits both windows and all are of one
                     # kind: whichever list _candidates returns non-empty is here
-                    away, usable = here, ()
+                    j = here.pop(int(random() * len(here)))
                 else:
-                    away, usable = _candidates(here, acc_l, acc_t, conn_row, tables, max_l, max_t)
-                # the depot-bound fallback may run the windows tight (the
-                # following depot step can force maintenance), but a train
-                # that breaks one outright is unusable
-                if away:
-                    j = away[int(random() * len(away))]
-                elif usable:
-                    j = usable[int(random() * len(usable))]
-                else:
-                    raise DeadEnd(f"no successor of train {prev} fits at position {d + 1}")
-            conn = conn_row[j - 1]
-            maintain = 0
-        if maintain:
-            if d:
-                maint_after[d - 1] = 1
-                rotation_km.append(acc_l)
-            acc_l, acc_t = mileage[j], travel[j]
-        else:
+                    # the depot-bound fallback may run the windows tight (the
+                    # following depot step can force maintenance), but a train
+                    # that breaks one outright is unusable
+                    away, usable = _candidates(here, acc_l, acc_t, prev_row, tables, max_l, max_t)
+                    pick = away or usable
+                    if not pick:
+                        raise DeadEnd(f"no successor of train {prev} fits at position {d + 1}")
+                    j = pick[int(random() * len(pick))]
+                    del here[bisect_left(here, j)]
+                conn = prev_row[j - 1]
             waited += conn
             acc_l += mileage[j]
             acc_t += conn + travel[j]
         order[d] = j
         placed[j] = True
-        del here[bisect_left(here, j)]
-        prev, at_depot = j, arr_at_depot[j]
+        prev, prev_row, at_depot = j, conn_rows[j - 1], arr_at_depot[j]
 
     if not at_depot:
         # cannot happen on a flow-balanced instance; guard for odd inputs

@@ -95,6 +95,8 @@ def brute_force(
                 continue
             counters["feasible"] += 1
             objective = params.omega1 * conn_sum + params.omega2 * slack
+            if best[0] is not None and objective > best[0][0]:
+                continue  # cannot win the comparison below; ties still compare orders
             candidate_order, candidate_flags = _canonical(cycle, cut_after, n)
             entry = (objective, candidate_order, candidate_flags)
             if best[0] is None or entry < best[0]:

@@ -66,6 +66,10 @@ class SwarmConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_particles < 1 or self.k_max < 1:
             raise ValueError("need at least one particle and one iteration")
+        # NumPy's SeedSequence takes only non-negative integers
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         for name in ("w_max", "w_min", "c1", "c2"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -249,12 +253,13 @@ def solve(
             proposed = update_position(positions, velocities, n).tolist()
 
         feasible_now = 0
+        orders = []
         for m, rng in enumerate(streams):
             plan, failed, waited, rotation_km = construct_with_stats(
                 instance, matrices, rng, max_restarts, maint_prob, proposed[m] if k else None)
             restarts += failed
             fit, feasible = fitness_from_totals(waited, rotation_km, params)
-            positions[m] = plan.order  # repaired dimensions become the realized ids
+            orders.append(plan.order)
             if fit < pbest_fit[m]:
                 pbest_fit[m] = fit
                 pbest_pos[m] = plan.order
@@ -262,6 +267,7 @@ def solve(
                 feasible_now += 1
                 if fit < best_feasible_fit:
                     best_feasible_fit, best_feasible_plan = fit, plan
+        positions[:] = orders  # repaired dimensions become the realized ids
 
         best = min(pbest_fit)
         if best < gbest_fit:

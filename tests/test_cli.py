@@ -315,6 +315,13 @@ def test_config_file_rejects_non_finite_swarm_values(tmp_path, capsys, line, mes
     assert not plan_path.exists()
 
 
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    plan_path = tmp_path / "p.txt"
+    code, out, err = run(capsys, "solve", FIG1, "--out", str(plan_path), "--seed", "-1")
+    assert (code, out, err) == (1, "", "error: seed must be a non-negative integer, got -1\n")
+    assert not plan_path.exists()
+
+
 def test_constructor_knob_range_ends_are_accepted(tmp_path, capsys):
     for flags in (("--maint-prob", "0"), ("--maint-prob", "1"), ("--max-restarts", "0")):
         code, _, err = run(capsys, "solve", FIG1, "--out", str(tmp_path / "p.txt"), *flags,

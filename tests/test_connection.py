@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from emu_roster import (
+    InfeasibleError,
     ModelParams,
     TimetableInstance,
     Train,
     build_matrices,
+    construct,
     generate_instance,
 )
 
@@ -216,3 +218,29 @@ def test_matrices_deterministic(fig1):
     a, b = build_matrices(fig1), build_matrices(fig1)
     assert a.conn_rows == b.conn_rows
     assert a.dump_tsv("theta") == b.dump_tsv("theta")
+
+
+def test_station_slots_by_train_id(fig1, fig1_matrices):
+    # a station's slot is its place in departures, which lists the depot first
+    m = fig1_matrices
+    slots = list(m.departures)
+    assert slots[0] == fig1.maint_station
+    assert m.arr_slot[0] == 0 and len(m.arr_slot) == len(m.arr_reach) == fig1.n + 1
+    for k in range(1, fig1.n + 1):
+        s = fig1.train(k).arr_station
+        assert slots[m.arr_slot[k]] == s
+        assert m.arr_reach[k] is m.reach[s]
+
+
+def test_depot_without_departures_gets_no_slot():
+    inst = TimetableInstance(
+        trains=(train(1, "A", "06:00", "C", "07:00"), train(2, "C", "08:00", "A", "09:00")),
+        stations=frozenset({"A", "B", "C"}),
+        maint_stations=frozenset({"B"}),
+        params=ModelParams(t_connect=T_CONNECT),
+    )
+    m = build_matrices(inst)
+    assert list(m.departures) == ["A", "C"]
+    assert m.arr_slot == [0, 1, 0]
+    with pytest.raises(InfeasibleError, match="no train departs the depot station"):
+        construct(inst, m, np.random.default_rng(0))

@@ -368,3 +368,72 @@ def test_golden_solved_plan():
     res = solve(inst, m, SwarmConfig(n_particles=10, k_max=20, seed=4))
     assert _plan_sha(res.best_plan, inst, m) == GOLDEN_SOLVE
     assert res.restarts == 0
+
+
+def _golden_build_instance(case, fig1, chain):
+    """The instance of a test_golden_build_outcomes case."""
+    if case == "fig1":
+        return fig1
+    if case == "chain":
+        return chain
+    if case.startswith("t"):  # tight time windows on a paired n = 10 and n = 100
+        t_cycle, n = (int(part) for part in case[1:].split("-n"))
+        return generate_instance(n // 2, 4, seed=n).with_params(t_cycle=t_cycle)
+    pairs = int(case[1:]) // 2
+    return generate_instance(pairs, {3: 2, 5: 2, 50: 4, 250: 8}[pairs], seed=pairs)
+
+
+def _golden_proposals(n, rng):
+    """None and proposals that are random, in order, out of range, and that
+    repeat ids (so later entries name placed trains), one as an ndarray."""
+    random_ids = rng.integers(1, n + 1, size=n)
+    out_of_range = [(0, -1, n + 1, 10**6)[d % 4] if d % 3 == 0 else int(random_ids[d])
+                    for d in range(n)]
+    repeats = [int(random_ids[d // 2]) for d in range(n)]
+    return [None, None, random_ids.tolist(), random_ids, list(range(1, n + 1)),
+            list(range(n, 0, -1)), out_of_range, repeats, [1] * n]
+
+
+def _build_outcomes(inst, m, maint_prob, rng, proposals):
+    """One line per build_cycle and construct_with_stats call: the plan and
+    totals (and failed attempts), or the exception's type and message."""
+    for vec in proposals:
+        try:
+            plan, waited, rotation_km = build_cycle(inst, m, rng, maint_prob, vec)
+            yield repr((plan.order, plan.maint_after, waited, rotation_km))
+        except (DeadEnd, InfeasibleError) as exc:
+            yield f"{type(exc).__name__}: {exc}"
+        try:
+            plan, failed, waited, rotation_km = construct_with_stats(
+                inst, m, rng, max_restarts=30, maint_prob=maint_prob, proposal=vec)
+            yield repr((plan.order, plan.maint_after, failed, waited, rotation_km))
+        except InfeasibleError as exc:
+            yield f"{type(exc).__name__}: {exc}"
+
+
+# SHA-256 over every outcome of a case, recorded before the construction step
+# was last restructured: any change to the plans, the totals, the dead ends
+# or the draws they consume changes these.
+GOLDEN_BUILDS = {
+    "n6": "728187c7e56218092b9020c439368c09af240c11d6b66781d1a58d9690a7ddf1",
+    "n10": "eea6942e8f139a05fb6ee574011f4b34bb15c14b4c2ec3cd983d6822e83a1896",
+    "n100": "5b20d526ccf678ab7ba5b73ba2f3225ecaea4428127511fe28316b62b28132ae",
+    "n500": "febff23c62c743f7f03af8c3c8beaeba5313c9d8202fb19541e4f0811150905a",
+    "fig1": "49dc0673878e3497b47202e8b3522340d1439bed8f6f836ba37508f24b4de9ef",
+    "chain": "4ad41663e0e523df598b42e4eeae3fba1a01b75369abcd443aece08a72b5eb8b",
+    "t1600-n10": "a9181b62c2451f1e47b9a32c4cf96aa27289818c5000461251443297bf696748",
+    "t1600-n100": "1ee9d2e2d8b26fdb9c389150b3456e52fda2a51c62d3544cb1d98212fcb4fae1",
+    "t2000-n10": "477202d32e35c26b6499516a471221d90000d4bbb92b1573923f09bca49c5c64",
+    "t2000-n100": "8629b769174bbe90455447720a459f57dc969eb105ea2df05cc2303e805eb27d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_BUILDS))
+def test_golden_build_outcomes(case, fig1, chain):
+    inst = _golden_build_instance(case, fig1, chain)
+    m = build_matrices(inst)
+    lines = []
+    for maint_prob in (0.0, 0.5, 0.9):
+        rng = np.random.default_rng(int(maint_prob * 10) + 7)
+        lines += _build_outcomes(inst, m, maint_prob, rng, _golden_proposals(inst.n, rng))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_BUILDS[case]

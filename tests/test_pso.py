@@ -482,6 +482,9 @@ def test_config_validation():
     ("n_particles", True, "n_particles must be an integer, got True"),
     ("k_max", 7.5, "k_max must be an integer, got 7.5"),
     ("k_max", False, "k_max must be an integer, got False"),
+    ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+    ("seed", -1, "seed must be a non-negative integer, got -1"),
+    ("seed", True, "seed must be a non-negative integer, got True"),
 ])
 def test_config_refuses_non_finite_and_non_integer_values(field, value, message):
     # a NaN coefficient or bound turns every velocity into NaN, which the
@@ -493,6 +496,7 @@ def test_config_refuses_non_finite_and_non_integer_values(field, value, message)
 def test_config_open_velocity_clamp_is_accepted(fig1, fig1_matrices):
     cfg = SwarmConfig(n_particles=4, k_max=10, v_min=-math.inf, v_max=math.inf)
     assert SwarmConfig(n_particles=np.int64(4), k_max=10).n_particles == 4
+    assert SwarmConfig(seed=np.int64(3)).seed == 3
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = solve(fig1, fig1_matrices, cfg)

@@ -72,8 +72,9 @@ def _write(path: str, content: str) -> None:
 
 def _parse_config_file(path: str) -> dict[str, float]:
     """key=value lines; '#' comments. Keys from SwarmConfig, the model
-    parameters, or the constructor knobs (maint_prob, max_restarts). Counts,
-    the seed and t_connect must be integral and are returned as ints."""
+    parameters, or the constructor knobs (max_restarts, and maint_prob, which
+    is deprecated but still range-checked). Counts, the seed and t_connect
+    must be integral and are returned as ints."""
     values: dict[str, float] = {}
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -121,7 +122,7 @@ def _load_instance(args):
     return instance, cfgfile
 
 
-def _swarm_config(args, cfgfile: dict[str, float]) -> tuple[SwarmConfig, float, int]:
+def _swarm_config(args, cfgfile: dict[str, float]) -> tuple[SwarmConfig, int]:
     kwargs = {}
     for key in _SWARM_KEYS:
         if key in cfgfile:
@@ -132,15 +133,16 @@ def _swarm_config(args, cfgfile: dict[str, float]) -> tuple[SwarmConfig, float, 
         kwargs["k_max"] = args.iters
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
-    maint_prob = cfgfile.get("maint_prob", 0.5)
-    if getattr(args, "maint_prob", None) is not None:
-        maint_prob = args.maint_prob
+    maint_prob = getattr(args, "maint_prob", None)
+    if maint_prob is not None:
         _check_range("maint_prob", maint_prob, "--maint-prob")
+    if maint_prob is not None or "maint_prob" in cfgfile:
+        print("warning: maint_prob is deprecated and has no effect", file=sys.stderr)
     max_restarts = cfgfile.get("max_restarts", 100)
     if getattr(args, "max_restarts", None) is not None:
         max_restarts = args.max_restarts
         _check_range("max_restarts", max_restarts, "--max-restarts")
-    return SwarmConfig(**kwargs), maint_prob, max_restarts
+    return SwarmConfig(**kwargs), max_restarts
 
 
 def _trace_csv(result: SolveResult) -> str:
@@ -152,9 +154,9 @@ def _trace_csv(result: SolveResult) -> str:
 
 def _cmd_solve(args) -> int:
     instance, cfgfile = _load_instance(args)
-    cfg, maint_prob, max_restarts = _swarm_config(args, cfgfile)
+    cfg, max_restarts = _swarm_config(args, cfgfile)
     matrices = build_matrices(instance)
-    result = solve(instance, matrices, cfg, maint_prob=maint_prob, max_restarts=max_restarts)
+    result = solve(instance, matrices, cfg, max_restarts=max_restarts)
 
     _write(args.out, render_plan(result.best_plan, instance, matrices))
     trace_path = args.trace if args.trace else args.out + ".trace.csv"
@@ -188,7 +190,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_compare(args) -> int:
     instance, cfgfile = _load_instance(args)
-    cfg, maint_prob, max_restarts = _swarm_config(args, cfgfile)
+    cfg, max_restarts = _swarm_config(args, cfgfile)
     matrices = build_matrices(instance)
     try:
         exact = oracle_mod.brute_force(instance, matrices, n_limit=args.oracle_limit)
@@ -198,7 +200,7 @@ def _cmd_compare(args) -> int:
     heuristic: SolveResult | None = None
     heuristic_error = None
     try:
-        heuristic = solve(instance, matrices, cfg, maint_prob=maint_prob, max_restarts=max_restarts)
+        heuristic = solve(instance, matrices, cfg, max_restarts=max_restarts)
     except InfeasibleError as exc:
         heuristic_error = str(exc)
 
@@ -262,7 +264,7 @@ def _add_swarm_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--particles", type=int, help="swarm size")
     p.add_argument("--iters", type=int, help="iteration count")
     p.add_argument("--maint-prob", dest="maint_prob", type=float,
-                   help="probability of optional maintenance at the depot, in [0, 1]")
+                   help="deprecated, has no effect (still checked to lie in [0, 1])")
     p.add_argument("--max-restarts", dest="max_restarts", type=int,
                    help="failed construction attempts allowed before giving up (>= 0)")
 

@@ -2,56 +2,42 @@
 
 Builds the single closed loop in one pass over positions 1..n. Position 1
 and every position after a depot arrival are depot steps: each draws a train
-leaving the depot and decides whether to cut a maintenance arc before it,
-randomly or compulsorily when a cycle limit would be hit; the arc into
-position 1 closes the cycle and is always cut. Other steps chain a
-connectable train. The decision looks one station ahead: declining is refused
-when no departure where the next train arrives would still fit the windows.
-On paired timetables with default parameters that leaves no dead end. Dead
-ends, still possible on multi-leg chains and under tight windows, restart the
-whole attempt with fresh randomness.
+leaving the depot and cuts a maintenance arc before it (the arc into
+position 1 closes the cycle). Other steps chain a connectable train that
+fits both windows, measured from the last cut. Dead ends, possible on
+multi-leg chains and under tight windows, restart the whole attempt with
+fresh randomness. Maintenance placement is then a function of the order
+alone: _drop_paying_cuts keeps the best set of the chain's cuts, exactly,
+and does not run when no cut's arc waits little enough to pay.
 
-Candidates come from the per-station departure index of ConnectionMatrices:
-each attempt keeps, per station slot, the id-sorted list of unassigned
-trains leaving it. When the running totals plus the station's reach bound
-fit both windows, every train on that list fits and all are of one kind, so
-a step draws straight from the list in O(1); otherwise it scans the list,
-O(departures at that station), with _candidates. Either way it draws from
-the same candidate list with the same single draw, so a seed gives the same
-plan. A train drawn by index from the free list leaves it by list.pop of
-that index; only a taken proposal or a pick from _candidates' filtered list
-is found in the free list by bisection.
-The per-train lists a step reads come from the matrices, built once per
-instance: the tables, and the slot and reach of the station where each
-train arrives, so a step reads a station's free list and reach by list
-subscript. The oversize-train check, the windows and the depot station come
-from the instance and its parameters, which cache them; an attempt copies
-only the departure lists and a placed flag per train id. It keeps the
-previous train, its connection row (fetched once per step; after a depot
-arrival it also tells which trains depart the depot) and whether that train
-arrives at the depot in locals, and writes each train and maintenance flag
-straight to its final position in the plan, so nothing is rotated or copied
-but the two closing tuples. The only randomness an attempt takes is
-rng.random(), so any source of uniform doubles with that method serves,
-such as solve's block-drawn Philox streams.
+Candidates come from the per-station departure lists of ConnectionMatrices,
+copied per attempt by station slot; a placed train leaves its list. When the
+running totals plus the station's reach bound fit both windows, every train
+on the list fits and all are of one kind, so a step draws from the list
+itself; otherwise _candidates scans it. Either way one draw picks from the
+same id-ordered list, so a seed gives the same plan. The per-train lists a
+step reads are built once per instance, with the matrices. The only
+randomness is rng.random(), at most once per position, so any source of
+uniform doubles with that method serves, such as solve's Philox streams.
 
-The same stepping engine also serves the swarm decoder: a caller may supply
-a proposed train per position, which is taken whenever it is legal at that
-step and repaired by the normal step logic otherwise; construct_with_stats
-passes it to its first attempt only. An attempt also returns the minutes
-waited and each rotation's mileage, which its running totals already hold,
-so the swarm scores a decode without walking the plan again.
+The swarm decoder supplies a proposed train per position, taken where it is
+legal and repaired by the normal step elsewhere (construct_with_stats passes
+it to its first attempt only). An attempt also returns the minutes waited
+and each rotation's mileage, so the swarm scores a decode without a walk.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from bisect import bisect_left
+from itertools import compress
 
 import numpy as np
 
 from .connection import ConnectionMatrices, TrainTables
 from .plan import CirculationPlan
-from .timetable import TimetableInstance
+from .timetable import ModelParams, TimetableInstance
 
 
 class InfeasibleError(RuntimeError):
@@ -62,15 +48,8 @@ class DeadEnd(Exception):
     """Internal: the current attempt painted itself into a corner."""
 
 
-def _candidates(
-    free: list[int],
-    acc_l: float,
-    acc_t: float,
-    conn_row: list[int | None],
-    tables: TrainTables,
-    max_l: float,
-    max_t: float,
-) -> tuple[list[int], list[int]]:
+def _candidates(free: list[int], acc_l: float, acc_t: float, conn_row: list[int | None],
+                tables: TrainTables, max_l: float, max_t: float) -> tuple[list[int], list[int]]:
     """Split free, the unassigned departures (ascending ids) of the station
     where the previous train arrived, in one pass into the trains that fit
     both windows: those heading away from the depot and the depot-bound ones."""
@@ -86,45 +65,78 @@ def _candidates(
     return away, usable
 
 
-def _any_fits(
-    free: list[int],
-    acc_l: float,
-    acc_t: float,
-    conn_row: list[int | None],
-    tables: TrainTables,
-    max_l: float,
-    max_t: float,
-) -> bool:
-    """Whether _candidates would find any train in free that fits both
-    windows, away or depot-bound; stops at the first one."""
-    mileage, travel = tables.mileage, tables.travel
-    for j in free:
-        if acc_l + mileage[j] <= max_l and acc_t + conn_row[j - 1] + travel[j] <= max_t:
-            return True
-    return False
+def _drop_paying_cuts(order: list[int], maint_after: list[int], waited: int,
+                      rotation_km: list[float], joins: list[int], matrices: ConnectionMatrices,
+                      params: ModelParams) -> tuple[int, list[float]]:
+    """Clear the flags in maint_after of the set of cuts whose drop lowers
+    the fitness most; return waited and rotation_km as build_cycle does.
+
+    Dropping the cut on a depot arc that waits w minutes changes the fitness
+    by omega1 * w - omega2 * max_mileage while the joined rotation fits both
+    windows, so a cut pays only below that wait, and joins lists, ascending,
+    the pieces whose cut to the next one pays. A cut that does not pay stays,
+    so each run of pieces joined by paying cuts is a shortest path of its
+    own: from each piece a forward scan joins the next ones until a window
+    breaks. Ties keep the cut. Mileage is summed as plan._walk sums it.
+    """
+    conn_rows = matrices.conn_rows
+    mileage, travel = matrices.tables.mileage, matrices.tables.travel
+    max_l, max_t = params.max_mileage, params.max_time
+    omega1, pays = params.omega1, params.omega2 * max_l
+    ends = list(compress(range(len(order)), maint_after))  # each piece's last position
+    merged: list[float] = []
+    k = done = 0  # joins[k] opens the next run; pieces before done are in merged
+    while k < len(joins):
+        s = t = joins[k]
+        while k < len(joins) and joins[k] == t:  # the run is pieces s..t
+            k, t = k + 1, t + 1
+        cuts = ends[s:t]
+        waits = [conn_rows[order[e] - 1][order[e + 1] - 1] for e in cuts]
+        # from piece s on, best[i]: the least fitness change over i pieces; first[i]
+        # and km[i]: the first piece and the mileage of the rotation ending there
+        best = [0.0] + [math.inf] * (t - s + 1)
+        first, km = [0] * len(best), [0.0] * len(best)
+        for a in range(t - s + 1):
+            change = best[a]
+            if change <= best[a + 1]:  # piece a alone, the last candidate
+                best[a + 1], first[a + 1], km[a + 1] = change, a, rotation_km[s + a]
+            d = ends[s + a - 1] + 1 if s + a else 0
+            acc_l, acc_t = mileage[order[d]], travel[order[d]]
+            for b in range(a + 1, t - s + 1):  # join piece b over the cut before it
+                for d in range(d + 1, ends[s + b] + 1):
+                    acc_l += mileage[order[d]]
+                    acc_t += conn_rows[order[d - 1] - 1][order[d] - 1] + travel[order[d]]
+                if acc_l > max_l or acc_t > max_t:
+                    break
+                change += omega1 * waits[b - 1] - pays
+                if change <= best[b + 1]:
+                    best[b + 1], first[b + 1], km[b + 1] = change, a, acc_l
+        rotations = []
+        i = len(best) - 1
+        while i:
+            rotations.append(km[i])
+            for c in range(first[i], i - 1):  # the cuts inside the rotation are dropped
+                maint_after[cuts[c]] = 0
+                waited += waits[c]
+            i = first[i]
+        merged += rotation_km[done:s]
+        merged += reversed(rotations)
+        done = t + 1
+    return waited, merged + rotation_km[done:]
 
 
 def build_cycle(
-    instance: TimetableInstance,
-    matrices: ConnectionMatrices,
-    rng: np.random.Generator,
-    maint_prob: float = 0.5,
+    instance: TimetableInstance, matrices: ConnectionMatrices, rng: np.random.Generator,
     proposal=None,
 ) -> tuple[CirculationPlan, int, list[float]]:
     """One construction attempt; raises DeadEnd when it cannot continue.
 
     Returns (plan, waited, rotation_km): the minutes waited on the plan's
     ordinary arcs and the total mileage of each rotation in cycle order, the
-    totals fitness_from_totals scores. They are the running totals the steps
-    keep anyway, summed in the order plan._walk sums them, so they equal what
-    decode_rotations reports for the plan.
-
-    At a depot step the coin may decline maintenance only when some departure
-    from the station the next train reaches fits both windows at the
-    carried-over totals (the rule of _candidates); otherwise the arc is cut.
-    This look-ahead draws no random number and is the same with or without
-    a proposal, so it never strands the unit one station on; an overrun two
-    or more stations on still dead-ends. Position 1 draws no coin.
+    totals fitness_from_totals scores, summed as plan._walk sums them. The
+    chain cuts at every depot arrival; _drop_paying_cuts then keeps the best
+    set of those cuts for the order, drawing nothing. An attempt draws at
+    most one number per position, none for a taken proposal.
 
     With a proposal (one train id per position), each proposed train is taken
     when it is unassigned and legal under the current step's rules, except
@@ -142,6 +154,8 @@ def build_cycle(
     mileage, travel, arr_at_depot, _ = tables
     params = instance.params
     max_l, max_t = params.max_mileage, params.max_time
+    # dropping the cut on a depot arc that waits w pays when omega1 * w < pays
+    omega1, pays = params.omega1, params.omega2 * max_l
     depot = instance.maint_station
     conn_rows = matrices.conn_rows
     arr_slot, arr_reach = matrices.arr_slot, matrices.arr_reach
@@ -163,6 +177,7 @@ def build_cycle(
     maint_after[-1] = 1
     waited = 0  # minutes waited on the ordinary arcs so far
     rotation_km: list[float] = []  # mileage of each rotation cut so far
+    joins: list[int] = []  # the rotations whose cut to the next one pays to drop
     # the train placed last, its connection row, and whether it ends at the depot
     prev, prev_row, at_depot = 0, None, True
     for d in range(n):  # position d + 1
@@ -186,32 +201,12 @@ def build_cycle(
                 del here[bisect_left(here, j)]
             else:
                 j = here.pop(int(random() * len(here)))
-            if d:
-                conn = prev_row[j - 1]
-                next_l, next_t = acc_l + mileage[j], acc_t + conn + travel[j]
-                # compulsory when continuing breaks a window, else the coin's
-                maintain = not (next_l <= max_l and next_t <= max_t) or random() < maint_prob
-                if not maintain and not arr_at_depot[j]:
-                    # look one station ahead, drawing nothing: when no departure
-                    # where j arrives fits at the carried-over totals, the next
-                    # step would dead-end, so the maintenance arc is cut here (a
-                    # depot-bound j needs no look: the depot step after it cuts)
-                    ahead = free[arr_slot[j]]
-                    reach_km, reach_min = arr_reach[j]
-                    if next_l + reach_km <= max_l and next_t + reach_min <= max_t:
-                        maintain = not ahead  # every departure there fits
-                    else:
-                        maintain = not _any_fits(ahead, next_l, next_t, conn_rows[j - 1],
-                                                 tables, max_l, max_t)
-                if maintain:
-                    maint_after[d - 1] = 1
-                    rotation_km.append(acc_l)
-                    acc_l, acc_t = mileage[j], travel[j]
-                else:
-                    waited += conn
-                    acc_l, acc_t = next_l, next_t
-            else:
-                acc_l, acc_t = mileage[j], travel[j]  # position 1 opens the first rotation
+            if d:  # the maintenance arc into j closes the rotation before it
+                maint_after[d - 1] = 1
+                if omega1 * prev_row[j - 1] < pays:
+                    joins.append(len(rotation_km))
+                rotation_km.append(acc_l)
+            acc_l, acc_t = mileage[j], travel[j]
         else:
             here = free[arr_slot[prev]]
             conn = prev_row[proposed - 1] if proposed is not None else None
@@ -228,9 +223,9 @@ def build_cycle(
                     # kind: whichever list _candidates returns non-empty is here
                     j = here.pop(int(random() * len(here)))
                 else:
-                    # the depot-bound fallback may run the windows tight (the
-                    # following depot step can force maintenance), but a train
-                    # that breaks one outright is unusable
+                    # a depot-bound train may fill the windows to the brim:
+                    # the depot step after it cuts; one that breaks a window
+                    # outright is unusable
                     away, usable = _candidates(here, acc_l, acc_t, prev_row, tables, max_l, max_t)
                     pick = away or usable
                     if not pick:
@@ -249,16 +244,25 @@ def build_cycle(
         # cannot happen on a flow-balanced instance; guard for odd inputs
         raise DeadEnd("cycle does not end at the depot")
     rotation_km.append(acc_l)  # the last rotation, closed by the arc into position 1
+    if joins:
+        waited, rotation_km = _drop_paying_cuts(order, maint_after, waited, rotation_km, joins,
+                                                matrices, params)
     return CirculationPlan(tuple(order), tuple(maint_after)), waited, rotation_km
 
 
+def check_maint_prob(maint_prob: float | None) -> None:
+    """Refuse a maint_prob outside [0, 1] (NaN included); warn that any other
+    value has no effect, as maintenance placement is exact. None is silent."""
+    if maint_prob is not None:
+        if not 0.0 <= maint_prob <= 1.0:
+            raise ValueError(f"maint_prob must lie in [0, 1], got {maint_prob!r}")
+        warnings.warn("maint_prob is deprecated and has no effect: maintenance placement is "
+                      "exact", DeprecationWarning, stacklevel=3)
+
+
 def construct_with_stats(
-    instance: TimetableInstance,
-    matrices: ConnectionMatrices,
-    rng: np.random.Generator,
-    max_restarts: int = 100,
-    maint_prob: float = 0.5,
-    proposal=None,
+    instance: TimetableInstance, matrices: ConnectionMatrices, rng: np.random.Generator,
+    max_restarts: int = 100, maint_prob: float | None = None, proposal=None,
 ) -> tuple[CirculationPlan, int, int, list[float]]:
     """Run build_cycle until it succeeds; returns (plan, failed attempts,
     waited, rotation_km), the last two as build_cycle returns them.
@@ -267,32 +271,27 @@ def construct_with_stats(
     charge; the failed count, returned or raised, includes it.
 
     Raises ValueError, before any draw, for a negative max_restarts or a
-    maint_prob outside [0, 1] (NaN included).
+    maint_prob outside [0, 1] (see check_maint_prob).
     """
     if max_restarts < 0:
         raise ValueError(f"max_restarts must be >= 0, got {max_restarts!r}")
-    if not 0.0 <= maint_prob <= 1.0:
-        raise ValueError(f"maint_prob must lie in [0, 1], got {maint_prob!r}")
+    check_maint_prob(maint_prob)
     attempts = max_restarts + 1 if proposal is None else max_restarts + 2
     for failed in range(attempts):
         try:
-            plan, waited, rotation_km = build_cycle(instance, matrices, rng, maint_prob, proposal)
+            plan, waited, rotation_km = build_cycle(instance, matrices, rng, proposal=proposal)
             return plan, failed, waited, rotation_km
         except DeadEnd:
             proposal = None
     raise InfeasibleError(
-        f"construction dead-ended in {attempts} consecutive attempts; multi-leg "
-        f"chains or tight cycle windows strand the unit beyond the one-station "
-        f"look-ahead, where a higher maint_prob or max_restarts may help"
-    )
+        f"construction dead-ended in {attempts} consecutive attempts; on multi-leg chains or "
+        f"under tight cycle windows no successor may fit, where a higher max_restarts may help")
 
 
 def construct(
-    instance: TimetableInstance,
-    matrices: ConnectionMatrices,
-    rng: np.random.Generator,
-    max_restarts: int = 100,
-    maint_prob: float = 0.5,
+    instance: TimetableInstance, matrices: ConnectionMatrices, rng: np.random.Generator,
+    max_restarts: int = 100, maint_prob: float | None = None,
 ) -> CirculationPlan:
     """Build a feasible circulation plan, restarting on dead ends."""
-    return construct_with_stats(instance, matrices, rng, max_restarts, maint_prob)[0]
+    check_maint_prob(maint_prob)
+    return construct_with_stats(instance, matrices, rng, max_restarts)[0]

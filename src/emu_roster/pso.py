@@ -14,18 +14,14 @@ evaluated concurrently without affecting results.
 
 Iteration 0 is the first pass of the same particle loop: each particle is
 built by the constructor with no proposal, then scored and recorded like any
-later plan. Every later iteration is one array step: every particle's stream
-is re-keyed to its (iteration, particle) counter and fills the particle's row
-of 4n doubles in one generator call, then one velocity/position update moves
-the whole swarm with the first 2n of each row as its coefficients, then each
-proposal is decoded with the rest of its particle's stream. Each particle's
-generator is built once per solve and re-keyed, not rebuilt, for every later
-iteration. The decode reads the row's last 2n doubles first: a first attempt
-draws at most 2n - 1 (a pick per position and a maintenance coin per
-position after the first, none for a taken proposal), so a decode that does
-not restart makes no further generator call. Restarts read on from blocks of
-BLOCK doubles per generator call, as does iteration 0; the same doubles as
-one scalar call each, at a fraction of the cost.
+later plan. Every later iteration is one array step. Each particle's
+generator, built once per solve, is re-keyed to its (iteration, particle)
+counter and fills the particle's row of 3n doubles in one call; one
+velocity/position update moves the whole swarm with the first 2n of each row
+as coefficients; then each proposal is decoded from the row's last n
+doubles, enough for a first attempt (at most one draw per position).
+Restarts, and iteration 0, read blocks of BLOCK doubles per generator call:
+the doubles of as many scalar calls, at a fraction of the cost.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from numbers import Integral
 import numpy as np
 
 from .connection import ConnectionMatrices, build_matrices
-from .constructor import construct_with_stats
+from .constructor import check_maint_prob, construct_with_stats
 from .plan import CirculationPlan, fitness_from_totals
 from .timetable import TimetableInstance
 
@@ -129,10 +125,10 @@ class _BlockUniforms:
     """The float64 uniforms of one Philox generator, served one at a time.
 
     reset(k, m) re-keys the generator to the state substream(key, k, m)
-    starts in and fills row, the particle's 4n lanes of the swarm's
-    coefficient array, with its first 4n doubles in one generator call.
+    starts in and fills row, the particle's 3n lanes of the swarm's
+    coefficient array, with its first 3n doubles in one generator call.
     The first 2n lanes are the caller's velocity coefficients; random(), the
-    only method the constructor calls, serves the last 2n and then blocks of
+    only method the constructor calls, serves the last n and then blocks of
     BLOCK doubles per generator call. Before the first reset (iteration 0)
     it serves blocks only. A fill or a block gives exactly the doubles of as
     many scalar gen.random() calls, so no draw changes, while a value costs a
@@ -143,7 +139,7 @@ class _BlockUniforms:
 
     def __init__(self, gen: np.random.Generator, key: np.ndarray, row: np.ndarray):
         self.gen, self.row = gen, row
-        self._tail = memoryview(row[len(row) // 2:])
+        self._tail = memoryview(row[len(row) // 3 * 2:])
         # Philox's state with an empty buffer and no cached half word; a
         # reset replaces only the counter, (0, 0, m, k) as in substream. The
         # key as Python ints: the state setter reads them faster than uint64s
@@ -166,17 +162,17 @@ def decode(
     instance: TimetableInstance,
     matrices: ConnectionMatrices,
     rng: np.random.Generator,
-    maint_prob: float = 0.5,
+    maint_prob: float | None = None,
     max_restarts: int = 100,
 ) -> tuple[CirculationPlan, int]:
     """Realize a position vector as a plan, repairing illegal entries.
 
     construct_with_stats with the position as the proposal of its first
-    attempt; returns (plan, dead ends), a guided dead end included.
+    attempt; returns (plan, dead ends), a guided dead end included. A passed
+    maint_prob has no effect (see check_maint_prob).
     """
-    plan, failed, _, _ = construct_with_stats(instance, matrices, rng, max_restarts, maint_prob,
-                                              position)
-    return plan, failed
+    check_maint_prob(maint_prob)
+    return construct_with_stats(instance, matrices, rng, max_restarts, proposal=position)[:2]
 
 
 @dataclass(frozen=True)
@@ -199,7 +195,7 @@ def solve(
     instance: TimetableInstance,
     matrices: ConnectionMatrices | None = None,
     cfg: SwarmConfig | None = None,
-    maint_prob: float = 0.5,
+    maint_prob: float | None = None,
     max_restarts: int = 100,
 ) -> SolveResult:
     """Full swarm run; returns the best fully feasible plan encountered.
@@ -208,7 +204,9 @@ def solve(
     pass through mileage-overrun plans; the reported plan is always the best
     one with every rotation inside the allowance. The initial swarm comes
     from the random constructor, so at least one such plan always exists.
+    A passed maint_prob has no effect (see check_maint_prob).
     """
+    check_maint_prob(maint_prob)
     if matrices is None:
         matrices = build_matrices(instance)
     cfg = cfg or SwarmConfig()
@@ -227,9 +225,9 @@ def solve(
     pbest_fit = [np.inf] * n_p
     gbest_fit = np.inf
     gbest_pos = pbest_pos[0]  # replaced at the end of iteration 0
-    # per particle: r1 in lanes [0, n), r2 in [n, 2n), and in [2n, 4n) the
+    # per particle: r1 in lanes [0, n), r2 in [n, 2n), and in [2n, 3n) the
     # draws its decode reads first
-    r = np.empty((n_p, 4 * n))
+    r = np.empty((n_p, 3 * n))
     streams = [_BlockUniforms(substream(key, 0, m), key, r[m]) for m in range(n_p)]
 
     best_feasible_fit = np.inf
@@ -256,7 +254,7 @@ def solve(
         orders = []
         for m, rng in enumerate(streams):
             plan, failed, waited, rotation_km = construct_with_stats(
-                instance, matrices, rng, max_restarts, maint_prob, proposed[m] if k else None)
+                instance, matrices, rng, max_restarts, proposal=proposed[m] if k else None)
             restarts += failed
             fit, feasible = fitness_from_totals(waited, rotation_km, params)
             orders.append(plan.order)

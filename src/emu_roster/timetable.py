@@ -113,8 +113,9 @@ class Train:
                 raise TimetableError(f"train {self.id}: {name} {t} outside [0, {MINUTES_PER_DAY})")
         if self.arr_time <= self.dep_time:
             raise TimetableError(f"train {self.id}: arrives at or before departure (spans midnight?)")
-        if self.mileage <= 0:
-            raise TimetableError(f"train {self.id}: mileage must be positive")
+        if not 0 < self.mileage < math.inf:  # NaN fails both comparisons
+            raise TimetableError(f"train {self.id}: mileage must be positive and finite, "
+                                 f"got {self.mileage!r}")
         if self.travel_time <= 0:
             raise TimetableError(f"train {self.id}: travel_time must be positive")
 

@@ -54,11 +54,10 @@ def chain():
     """Two three-leg chains through depot C: C -> X -> Y -> C and C -> U -> V -> C.
 
     Each leg runs 750 km, so either chain fits the 4,200 km allowance alone
-    (2,250 km) and two chains do not (4,500 km). Declining maintenance between
-    them still lets the first two legs of the second chain fit (3,750 km), so
-    the overrun shows only on its last leg, two stations after the depot:
-    one station of look-ahead cannot see it, and an attempt that declines
-    maintenance there dead-ends.
+    (2,250 km) and two chains do not (4,500 km). Without maintenance between
+    them the first two legs of the second chain still fit (3,750 km), so the
+    overrun shows only on its last leg, two stations after the depot. The
+    constructor cuts at every depot arrival and never joins the two chains.
     """
     from emu_roster import ModelParams, TimetableInstance, Train
 

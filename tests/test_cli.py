@@ -100,6 +100,43 @@ def test_solve_infinite_window_is_input_error(tmp_path, capsys):
     assert err == "error: l_cycle must be finite, got inf\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_solve_non_finite_mileage_is_input_error(tmp_path, capsys, value):
+    tt = tmp_path / "km.txt"
+    text = open(FIG1).read()
+    assert "train 2 A 09:40 B 11:20 280.0 100\n" in text
+    tt.write_text(text.replace("train 2 A 09:40 B 11:20 280.0 100\n",
+                               f"train 2 A 09:40 B 11:20 {value} 100\n"))
+    plan_path = tmp_path / "p.txt"
+    code, out, err = run(capsys, "solve", str(tt), "--out", str(plan_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: line 12, col 1: train 2: mileage must be positive and finite, got {value}\n"
+    assert not plan_path.exists()
+
+
+def test_solve_fig1_reaches_the_optimum(tmp_path, capsys):
+    # 858.2 is fig1's exact optimum (brute_force with n_limit=12)
+    code, out, _ = run(capsys, "solve", FIG1, "--out", str(tmp_path / "p.txt"))
+    assert code == 0
+    assert "objective 858.200000\n" in out
+
+
+def test_maint_prob_is_deprecated_and_has_no_effect(tmp_path, capsys):
+    common = ("--particles", "5", "--iters", "8", "--seed", "2")
+    code, ref_out, ref_err = run(capsys, "solve", FIG1, "--out", str(tmp_path / "ref.txt"), *common)
+    assert code == 0 and "warning" not in ref_err
+    cfgf = tmp_path / "knob.cfg"
+    cfgf.write_text("maint_prob=0.9\n")
+    for name, extra in (("flag.txt", ("--maint-prob", "0.9")), ("key.txt", ("--config", str(cfgf))),
+                        ("both.txt", ("--config", str(cfgf), "--maint-prob", "0"))):
+        code, out, err = run(capsys, "solve", FIG1, "--out", str(tmp_path / name), *common, *extra)
+        assert code == 0
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and "deprecated" in warnings[0]
+        assert out == ref_out
+        assert (tmp_path / name).read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
 def test_solve_infeasible_instance_exit_2(tmp_path, capsys):
     tt = tmp_path / "big.txt"
     tt.write_text(
@@ -390,11 +427,11 @@ def _sha(data: bytes) -> str:
 
 # SHA-256 of the bytes of a default fig1 solve and of validate/diagram on its plan
 GOLDEN_FIG1 = {
-    "plan": "8ac8f41aa572d73da0262a1ab6bafd8cb9911f51df2fe0681c07fd23415c50d9",
-    "solve_stdout": "9f63059b723edfba25493fbf20af399c3ca5bb3605b15116076ed1b73665d68a",
-    "trace": "eb0dd11b2c40ed9c9817a4b45b245c160b7ebab497a5bf8edb1764e20bd6e447",
+    "plan": "ad7091b67562488f78ec1fefc8932f5618596ab96697a850a0cf360af32aafc4",
+    "solve_stdout": "0268704cffdfac477386f4543abf64f72e4ba1a57e8c14199c82fbaea1c10ee7",
+    "trace": "81b60357ed6e5b514954d06b7fc0d5b5e34a80fd8c0c1fe48108cc439e849ba9",
     "validate_stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "diagram": "8cd63fb0b87eb34f0164d1280f4f9dfcbe2d43db77f56bc277028fc840d9f12a",
+    "diagram": "1f8f7ae94618c36ccc3d7c89d6db3b68456511123f2b16d858d59eacf4e9ade1",
 }
 
 

@@ -399,7 +399,7 @@ def test_rotation_and_fitness_helpers_reject_unknown_ids(fig1, fig1_matrices):
 def _golden_n100():
     inst = generate_instance(50, 4, seed=1)
     m = build_matrices(inst)
-    plan = construct(inst, m, np.random.default_rng(7), max_restarts=1000, maint_prob=0.9)
+    plan = construct(inst, m, np.random.default_rng(7), max_restarts=1000)
     return inst, m, plan
 
 
@@ -441,15 +441,15 @@ def _corrupt(plan, inst, m, family):
 
 # SHA-256 of the position and text of every violation, one per line
 GOLDEN_VIOLATIONS = {
-    "CONN": "c39f0d54f0e44d0a3429b1ce895381df8d7e7bbe7c120bef285fd3d08a61181c",
-    "EQ8/EQ9": "b8ca0e2521fdd43ccd2c83497e5af7405e7cc066bb4ea7c99d218d07d5f962a5",
+    "CONN": "b066177570686c0c532a46ca17d65a98f8d286eebf8debb62f328dd4374ea773",
+    "EQ8/EQ9": "650069ee046e852d73adfaac8782a8aabf6cff517f7e4fc6cd44b013b6dec10c",
     "SHAPE": "76bf8f6ebb66f6254c15378e55ab95550b7b5759f7e036d93464902fc0edbe11",
     "EQ10": "45ab70006c06340036a996fa12e89477fc5153c65992a34e896dfc5a39c4e0de",
-    "EQ11": "b03667a6f1afb2ebbbce4aa651f7efef573c6f8bc795677db890b28bab7e043c",
-    "EQ12": "ba31c76e7fa3195fe9fb05735fbfeaaf30d501575312e22005bfa8bd1b3c13c8",
+    "EQ11": "1ea5c5065fcb6eee306dd78fbf20fafdc970e1411685a0305c7e8fe3c475839e",
+    "EQ12": "959eeced8394d252d966d3ac3dc3433948ec64d4ca9141df55c2929ffc0d5c70",
 }
 # SHA-256 of repr(plan_summary) of the clean plan: every field, floats exact
-GOLDEN_SUMMARY = "6d482c3ea04c36b967310fbf18e14f686c25d7f1ab7655204159591213f1e9af"
+GOLDEN_SUMMARY = "087b22f24c38e0aaee6dc3009b6acdb4f09bb308b67b87a4ffedd60876c98909"
 
 
 @pytest.mark.parametrize("family", sorted(GOLDEN_VIOLATIONS))

@@ -180,13 +180,13 @@ def test_reset_stream_matches_substream(leftover):
     n = 5
     for seed in (11, 19):  # both key words of seed 19 lie above 2**63
         key = _philox_key(seed)
-        src = _BlockUniforms(substream(key, 0, 4), key, np.empty(4 * n))
+        src = _BlockUniforms(substream(key, 0, 4), key, np.empty(3 * n))
         rng = src.gen
         for k, m in [(1, 4), (2, 0), (500, 29), (2**40, 7), (3, 3)]:
             leftover(rng)
             src.reset(k, m)
             ref = substream(key, k, m)
-            assert src.row.tolist() == ref.random(4 * n).tolist()
+            assert src.row.tolist() == ref.random(3 * n).tolist()
             # a 32-bit draw: it would return a stale cached half word
             assert (rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
                     == ref.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
@@ -201,8 +201,8 @@ def scalar_draws(key, k, m, count):
 
 
 def block_source(key, m, n):
-    """A particle's source as solve() builds it, over a row of 4n doubles."""
-    return _BlockUniforms(substream(key, 0, m), key, np.empty(4 * n))
+    """A particle's source as solve() builds it, over a row of 3n doubles."""
+    return _BlockUniforms(substream(key, 0, m), key, np.empty(3 * n))
 
 
 def test_block_uniforms_cross_block_boundaries():
@@ -219,7 +219,7 @@ def test_block_uniforms_reset_mid_block():
     for _ in range(BLOCK // 2):
         src.random()
     src.reset(3, 1)
-    # random() serves the row's last 2n lanes, then the stream after the row
+    # random() serves the row's last n lanes, then the stream after the row
     served = scalar_draws(key, 3, 1, 2 * n + BLOCK + 3)[2 * n:]
     assert [src.random() for _ in range(BLOCK + 3)] == served
 
@@ -250,9 +250,9 @@ def test_block_uniforms_reused_pairs_after_partial_consumption():
 
 @pytest.mark.parametrize("n", [8, BLOCK // 2, 500], ids=["below-block", "one-block", "many-blocks"])
 def test_block_uniforms_coefficient_array_is_scalar_draws(n):
-    # reset fills the row in one call: it holds draws 0..4n-1 of the stream,
+    # reset fills the row in one call: it holds draws 0..3n-1 of the stream,
     # the coefficients are its head, the decode's first random() is draw 2n
-    # and, once the row's tail is read, the next is draw 4n, from a block
+    # and, once the row's tail is read, the next is draw 3n, from a block
     key = _philox_key(23)
     for leftover in (lambda s: s.random(),  # the previous stream left mid-block
                      lambda s: s.gen.integers(0, 2**32, size=3, dtype=np.uint32)):  # half word
@@ -260,13 +260,13 @@ def test_block_uniforms_coefficient_array_is_scalar_draws(n):
         leftover(src)
         src.reset(4, 3)
         coefficients = src.row[:2 * n]
-        rest = [src.random() for _ in range(2 * n + 2 * BLOCK + 1)]
-        ref = scalar_draws(key, 4, 3, 4 * n + 2 * BLOCK + 1)
-        assert src.row.tolist() == ref[:4 * n]
+        rest = [src.random() for _ in range(n + 2 * BLOCK + 1)]
+        ref = scalar_draws(key, 4, 3, 3 * n + 2 * BLOCK + 1)
+        assert src.row.tolist() == ref[:3 * n]
         assert isinstance(coefficients, np.ndarray) and coefficients.shape == (2 * n,)
         assert coefficients.tolist() == ref[:2 * n]
         assert rest[0] == ref[2 * n]
-        assert rest[2 * n] == ref[4 * n]
+        assert rest[n] == ref[3 * n]
         assert rest == ref[2 * n:]
 
 
@@ -283,9 +283,9 @@ class _CountingUniforms:
 
 @pytest.mark.parametrize("shape", [(3, 2), (4, 1), (5, 2), (250, 8), "fig1", "chain"])
 def test_first_attempt_draws_at_most_2n_minus_1(shape, fig1, chain):
-    # a pick per position and a coin per depot step after the first: a guided
-    # or unguided attempt, finished or dead-ended, never reads past the row's
-    # 2n-double tail
+    # at most a pick per position, and maintenance placement draws nothing: a
+    # guided or unguided attempt, finished or dead-ended, never reads past the
+    # row's n-double tail (n, inside the name's 2n - 1)
     inst = {"fig1": fig1, "chain": chain}.get(shape) or generate_instance(*shape, seed=3)
     m = build_matrices(inst)
     n = inst.n
@@ -295,18 +295,19 @@ def test_first_attempt_draws_at_most_2n_minus_1(shape, fig1, chain):
         counter = _CountingUniforms(np.random.default_rng(i))
         proposal = None if i % 4 == 0 else rng.integers(1, n + 1, size=n).tolist()
         try:
-            build_cycle(inst, m, counter, float(rng.random()), proposal)
+            build_cycle(inst, m, counter, proposal)
         except DeadEnd:
             pass
         most = max(most, counter.calls)
-    assert 0 < most <= 2 * n - 1
+    assert 0 < most <= n
 
 
 @pytest.mark.parametrize("name", ["fig1", "chain"])
 def test_reset_source_decodes_as_fresh_substream(name, fig1, chain):
     # a guided decode fed by the re-keyed source is the decode fed by a fresh
-    # substream after its 2n coefficients; on chain the guided walk dead-ends
-    # and the restarts read past the row into BLOCK lists
+    # substream after its 2n coefficients; on fig1 the guided walk dead-ends
+    # and the restarts read past the row into BLOCK lists, on chain it never
+    # dead-ends and never reads past the row
     inst = {"fig1": fig1, "chain": chain}[name]
     m = build_matrices(inst)
     n = inst.n
@@ -317,13 +318,13 @@ def test_reset_source_decodes_as_fresh_substream(name, fig1, chain):
     for k in range(1, 61):
         vec = rng.integers(1, n + 1, size=n).tolist()
         src.reset(k, 0)
-        got = construct_with_stats(inst, m, src, 100, 0.5, vec)
+        got = construct_with_stats(inst, m, src, 100, proposal=vec)
         ref = substream(key, k, 0)
         ref.random(2 * n)
         counter = _CountingUniforms(ref)
-        assert got == construct_with_stats(inst, m, counter, 100, 0.5, vec)
-        beyond_row += counter.calls > 2 * n
-    assert beyond_row
+        assert got == construct_with_stats(inst, m, counter, 100, proposal=vec)
+        beyond_row += counter.calls > n
+    assert beyond_row if name == "fig1" else beyond_row == 0
 
 
 # --- decoding -------------------------------------------------------------------
@@ -354,37 +355,35 @@ def test_decode_repairs_degenerate_vector(fig1, fig1_matrices):
         assert plan.maint_after[-1] == 1
 
 
-def test_decode_counts_dead_ends(chain):
+def test_decode_counts_dead_ends(fig1, fig1_matrices):
     """0 when the guided walk succeeds; else 1 plus the failed attempts of the
     fallback construction, which continues on the same generator."""
-    inst = chain  # both walks dead-end whenever they decline maintenance
-    m = build_matrices(inst)
+    inst, m = fig1, fig1_matrices  # both walks run out of time windows in most attempts
     rng = np.random.default_rng(1)
     seen = set()
     for i in range(200):
         vec = rng.integers(1, inst.n + 1, size=inst.n)
         ref_rng = np.random.default_rng(i)
         try:
-            expected = build_cycle(inst, m, ref_rng, 0.5, vec)[0], 0
+            expected = build_cycle(inst, m, ref_rng, vec)[0], 0
         except DeadEnd:
-            plan, failed, _, _ = construct_with_stats(inst, m, ref_rng, 100, 0.5)
+            plan, failed, _, _ = construct_with_stats(inst, m, ref_rng, 100)
             expected = plan, failed + 1
         assert decode(vec, inst, m, np.random.default_rng(i)) == expected
         seen.add(min(expected[1], 2))
     assert seen == {0, 1, 2}  # success, fallback at once, fallback after retries
 
 
-def test_decode_error_counts_every_dead_end(chain):
+def test_decode_error_counts_every_dead_end(fig1, fig1_matrices):
     """The guided attempt is not charged against max_restarts, so
     max_restarts + 2 attempts run, and the error counts all of them."""
-    m = build_matrices(chain)
-    ref_rng = np.random.default_rng(0)
-    for vec in [[1] * 6] + [None] * 4:  # the guided attempt, then max_restarts + 1 more
+    ref_rng = np.random.default_rng(17)  # a seed whose first five attempts dead-end
+    for vec in [[1] * 12] + [None] * 4:  # the guided attempt, then max_restarts + 1 more
         with pytest.raises(DeadEnd):
-            build_cycle(chain, m, ref_rng, 0.0, vec)
-    rng = np.random.default_rng(0)
+            build_cycle(fig1, fig1_matrices, ref_rng, vec)
+    rng = np.random.default_rng(17)
     with pytest.raises(InfeasibleError, match="dead-ended in 5 consecutive attempts"):
-        decode([1] * 6, chain, m, rng, maint_prob=0.0, max_restarts=3)
+        decode([1] * 12, fig1, fig1_matrices, rng, max_restarts=3)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -454,7 +453,7 @@ def test_solve_matches_oracle_on_small_instance():
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_default_solve_at_200_trains_finds_a_plan(seed):
-    # default maint_prob 0.5 and max_restarts 100, a short 4 x 5 swarm
+    # default max_restarts 100, a short 4 x 5 swarm
     inst = generate_instance(100, 4, seed=seed)
     m = build_matrices(inst)
     res = solve(inst, m, SwarmConfig(n_particles=4, k_max=5, seed=seed))
@@ -522,18 +521,18 @@ def test_fitness_reduces_to_connection_time_without_slack_weight(fig1, fig1_matr
 GOLDEN_SWARM = {
     # name: (n_pairs, turnback stations, instance seed, SwarmConfig kwargs, sha)
     "n6-default": (3, 2, 13, (("seed", 13),),
-                   "419ac0277b253c5d91ad60d2dfaf6f18882d805d933e3380733caec8ae43a832"),
+                   "d5014c70129aca68277645d78672cb80047b12a8a4e5a0d4c7732452ba7b2ab8"),
     "n8-default": (4, 1, 14, (("seed", 14),),
-                   "af48c34da6c3c9e1609b7234f4848d341d285fac61975cd78bc9da8bb1505762"),
+                   "17e8dbc341f4303ab3c5e8a1107d3d2d88ffe5faf11a3825e70ce113b2f5c493"),
     "n10-default": (5, 2, 15, (("seed", 15),),
-                    "d1063b14612079afa7a8a63ec0f29957f70ef0f6bc147b8bf0bc9b73f5a1fa3b"),
+                    "b7192d0fd664f3edd9068fd7fa8423df719cc505fbdf6e9cac4fb1af76715477"),
     "one-particle": (4, 1, 16, (("n_particles", 1), ("k_max", 200), ("seed", 16)),
-                     "2231de70576e5f9c7752c90eee5c069e7d7160ce3579f070f095314bcd03a88f"),
+                     "5d8965080ae1931c918b36c64201b159bad737f2fc1cfb1c1d2cd0c370f114bc"),
     "custom-coefficients": (
         5, 2, 17,
         (("n_particles", 12), ("k_max", 60), ("c1", 1.3), ("c2", 0.6),
          ("v_min", -1.5), ("v_max", 2.5), ("seed", 17)),
-        "9852659a5551ee46a17cbab4e93140b2f399925733c2c3293812b9a4b0a5ce3f",
+        "5c18bf353573ee4865797319ec2f8d1a769107a4767bea170aab971dc7ce00e0",
     ),
 }
 
@@ -553,14 +552,26 @@ def test_golden_swarm_runs(name):
 
 
 # The benchmark's solve-large shape: 500 trains over 8 turn-back stations, a
-# 4 x 5 swarm at maint_prob 0.9 and max_restarts 1000.
-GOLDEN_SOLVE_LARGE = "a1897c6aa8127d315c85f1c281c53e165c5d336b748469cf02b612c61a776947"
+# 4 x 5 swarm at max_restarts 1000.
+GOLDEN_SOLVE_LARGE = "26020ce6961d6fe18706f9d7c6c8c362fd374948ae0c8b8998ebe84fbde1b649"
 
 
 def test_golden_solve_large_shaped_run():
     cfg = (("n_particles", 4), ("k_max", 5), ("seed", 1))
-    sha = _swarm_sha(250, 8, 1, cfg, maint_prob=0.9, max_restarts=1000)
+    sha = _swarm_sha(250, 8, 1, cfg, max_restarts=1000)
     assert sha == GOLDEN_SOLVE_LARGE
+
+
+def test_maint_prob_is_deprecated_in_decode_and_solve(fig1, fig1_matrices):
+    vec = [7, 3, 3, 1, 12, 2, 2, 8, 5, 5, 10, 11]
+    ref = decode(vec, fig1, fig1_matrices, np.random.default_rng(9))
+    with pytest.warns(DeprecationWarning, match="maint_prob is deprecated"):
+        assert decode(vec, fig1, fig1_matrices, np.random.default_rng(9), 0.9) == ref
+    cfg = SwarmConfig(n_particles=4, k_max=5, seed=3)
+    ref = solve(fig1, fig1_matrices, cfg)
+    with pytest.warns(DeprecationWarning, match="maint_prob is deprecated"):
+        got = solve(fig1, fig1_matrices, cfg, maint_prob=0.0)
+    assert (got.best_plan, got.trace, got.restarts) == (ref.best_plan, ref.trace, ref.restarts)
 
 
 @pytest.mark.parametrize("knob", [{"maint_prob": 1.5}, {"max_restarts": -1}],

@@ -161,6 +161,15 @@ def test_train_invariants():
         Train(1, "A", 0, "B", 60, -5.0, 60)
 
 
+@pytest.mark.parametrize("mileage", [math.nan, math.inf, -math.inf, 0.0])
+def test_train_refuses_non_finite_or_non_positive_mileage(mileage):
+    # a NaN would pass a "<= 0" test and then fail every window check, so
+    # every construction attempt would dead-end; an inf would read as oversize
+    message = f"train 2: mileage must be positive and finite, got {mileage!r}"
+    with pytest.raises(TimetableError, match=f"^{re.escape(message)}$"):
+        Train(2, "A", 0, "B", 60, mileage, 60)
+
+
 def test_roundtrip_fig1(fig1, fig1_text):
     rendered = render_timetable(fig1)
     assert parse_timetable(rendered) == fig1

@@ -22,6 +22,13 @@ as coefficients; then each proposal is decoded from the row's last n
 doubles, enough for a first attempt (at most one draw per position).
 Restarts, and iteration 0, read blocks of BLOCK doubles per generator call:
 the doubles of as many scalar calls, at a fraction of the cost.
+
+A particle whose rounded position does not move is not decoded again. Its
+position is the order its last decode realized, and proposing a realized
+order replays that attempt without a draw or a dead end, so the particle
+keeps its last (plan, fitness, feasibility). It is still re-keyed, because
+its coefficients move its velocity, and its plan goes through the same
+bookkeeping of bests as every other.
 """
 
 from __future__ import annotations
@@ -233,6 +240,9 @@ def solve(
     best_feasible_fit = np.inf
     best_feasible_plan: CirculationPlan | None = None
     trace: list[TracePoint] = []
+    # each particle's last decode as (plan, fit, feasible), reused while it stays
+    decoded: list[tuple[CirculationPlan, float, bool] | None] = [None] * n_p
+    stays = [False] * n_p
 
     # Iteration 0 builds every particle with the constructor; the bests start
     # at inf and every fitness is finite (ModelParams refuses non-finite
@@ -248,15 +258,24 @@ def solve(
             velocities = update_velocity(velocities, positions, gbest_pos, pbest_pos,
                                          inertia_weight(k, cfg), cfg.c1, cfg.c2,
                                          r[:, :n], r[:, n:2 * n], v_min, v_max)
-            proposed = update_position(positions, velocities, n).tolist()
+            moved = update_position(positions, velocities, n)
+            # A position is an order some attempt realized; proposing it again
+            # replays that attempt without a draw or a dead end, so a particle
+            # that stays keeps its last decode (see docs/model.md).
+            stays = (moved == positions).all(axis=1).tolist()
+            proposed = moved.tolist()
 
         feasible_now = 0
         orders = []
         for m, rng in enumerate(streams):
-            plan, failed, waited, rotation_km = construct_with_stats(
-                instance, matrices, rng, max_restarts, proposal=proposed[m] if k else None)
-            restarts += failed
-            fit, feasible = fitness_from_totals(waited, rotation_km, params)
+            if stays[m]:
+                plan, fit, feasible = decoded[m]
+            else:
+                plan, failed, waited, rotation_km = construct_with_stats(
+                    instance, matrices, rng, max_restarts, proposal=proposed[m] if k else None)
+                restarts += failed
+                fit, feasible = fitness_from_totals(waited, rotation_km, params)
+                decoded[m] = plan, fit, feasible
             orders.append(plan.order)
             if fit < pbest_fit[m]:
                 pbest_fit[m] = fit

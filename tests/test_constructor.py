@@ -431,6 +431,59 @@ def test_split_of_the_oracle_order_reaches_the_optimum():
             assert fit == pytest.approx(exact.best_objective, abs=1e-9)
 
 
+class NoDraw:
+    """A source that must not be read."""
+
+    def random(self):
+        raise AssertionError("a replay drew a uniform")
+
+
+def test_replaying_a_realized_order_takes_it_without_a_draw(fig1, fig1_matrices):
+    """Proposing a returned plan's order gives back the plan and its totals
+    with no draw and no dead end: every entry is legal where the walk meets
+    it, whether the attempt was unguided, guided, a guided attempt that fell
+    back, or a relaxed proposal that overruns the allowance. The swarm keeps
+    a particle's last decode while its position stays on this."""
+    rng = np.random.default_rng(23)
+    overrun = overrun_instance()
+    cases = [(fig1, fig1_matrices, 30), (overrun, build_matrices(overrun), 30)]
+    for pairs in (3, 4, 5):
+        for seed in (1, 2, 3):
+            inst = generate_instance(pairs, 1 + seed % 2, seed=seed)
+            for omega2 in (0.01, 1.0):
+                paired = inst.with_params(omega2=omega2)
+                cases.append((paired, build_matrices(paired), 20))
+    large = generate_instance(50, 4, seed=2)
+    cases.append((large, build_matrices(large), 4))
+    replayed = fallbacks = overruns = 0
+    for inst, m, tries in cases:
+        n = inst.n
+        proposals = [None] * tries + [rng.integers(1, n + 1, size=n).tolist() for _ in range(tries)]
+        if inst is overrun:
+            proposals.append([1, 2, 3, 4, 5, 6])
+        for vec in proposals:
+            plan, failed, waited, rotation_km = construct_with_stats(
+                inst, m, rng, max_restarts=1000, proposal=vec)
+            # the order with a few entries moved, as a swarm step proposes it
+            near = list(plan.order)
+            for d in rng.integers(0, n, size=3):
+                near[d] = int(rng.integers(1, n + 1))
+            near_plan, _, near_waited, near_km = construct_with_stats(
+                inst, m, rng, max_restarts=1000, proposal=near)
+            built = [(plan, waited, rotation_km), (near_plan, near_waited, near_km)]
+            try:
+                built.append(build_cycle(inst, m, rng, vec))
+            except DeadEnd:
+                pass
+            for p, w, km in built:
+                assert construct_with_stats(inst, m, NoDraw(), 0, proposal=list(p.order)) == (
+                    p, 0, w, km)
+                replayed += 1
+                overruns += not fitness_from_totals(w, km, inst.params)[1]
+            fallbacks += vec is not None and failed > 0
+    assert replayed > 1000 and fallbacks > 0 and overruns > 0
+
+
 def test_constructed_plans_cover_multiple_shapes():
     # the random order decides which cuts the split can drop, so the
     # rotation counts vary (on fig1 no cut pays at the default weights)

@@ -26,6 +26,7 @@ from emu_roster import (
     update_velocity,
     validate,
 )
+from emu_roster import pso
 from emu_roster.constructor import DeadEnd, build_cycle, construct_with_stats
 from emu_roster.pso import BLOCK, _BlockUniforms, _philox_key, substream
 
@@ -282,10 +283,10 @@ class _CountingUniforms:
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (4, 1), (5, 2), (250, 8), "fig1", "chain"])
-def test_first_attempt_draws_at_most_2n_minus_1(shape, fig1, chain):
+def test_first_attempt_draws_at_most_n(shape, fig1, chain):
     # at most a pick per position, and maintenance placement draws nothing: a
     # guided or unguided attempt, finished or dead-ended, never reads past the
-    # row's n-double tail (n, inside the name's 2n - 1)
+    # row's n-double tail
     inst = {"fig1": fig1, "chain": chain}.get(shape) or generate_instance(*shape, seed=3)
     m = build_matrices(inst)
     n = inst.n
@@ -554,12 +555,44 @@ def test_golden_swarm_runs(name):
 # The benchmark's solve-large shape: 500 trains over 8 turn-back stations, a
 # 4 x 5 swarm at max_restarts 1000.
 GOLDEN_SOLVE_LARGE = "26020ce6961d6fe18706f9d7c6c8c362fd374948ae0c8b8998ebe84fbde1b649"
+SOLVE_LARGE = (250, 8, 1, (("n_particles", 4), ("k_max", 5), ("seed", 1)))
 
 
 def test_golden_solve_large_shaped_run():
-    cfg = (("n_particles", 4), ("k_max", 5), ("seed", 1))
-    sha = _swarm_sha(250, 8, 1, cfg, max_restarts=1000)
+    sha = _swarm_sha(*SOLVE_LARGE, max_restarts=1000)
     assert sha == GOLDEN_SOLVE_LARGE
+
+
+@pytest.mark.parametrize("name", ["n6-default", "one-particle", "solve-large"])
+def test_particles_that_stay_skip_their_decode(name, monkeypatch):
+    # a particle whose rounded position does not move keeps its last decode,
+    # and only such a particle: one construction per particle and iteration
+    # less one per stayer, and the same run. The goldens alone do not see a
+    # stale plan reused for a particle that moved.
+    if name == "solve-large":
+        run, sha, kwargs = SOLVE_LARGE, GOLDEN_SOLVE_LARGE, {"max_restarts": 1000}
+    else:
+        *run, sha = GOLDEN_SWARM[name]
+        kwargs = {}
+    calls = stayers = 0
+
+    def counting(*args, **kw):
+        nonlocal calls
+        calls += 1
+        return construct_with_stats(*args, **kw)
+
+    def counting_stayers(x, v_new, n):
+        nonlocal stayers
+        moved = update_position(x, v_new, n)
+        stayers += int((moved == x).all(axis=1).sum())
+        return moved
+
+    monkeypatch.setattr(pso, "construct_with_stats", counting)
+    monkeypatch.setattr(pso, "update_position", counting_stayers)
+    assert _swarm_sha(*run, **kwargs) == sha
+    swarm = SwarmConfig(**dict(run[3]))
+    assert stayers > 0
+    assert calls == swarm.n_particles * (swarm.k_max + 1) - stayers
 
 
 def test_maint_prob_is_deprecated_in_decode_and_solve(fig1, fig1_matrices):

@@ -172,7 +172,9 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
+def _load_plan(args):
+    """(plan, instance, matrices) from the plan and timetable files of validate
+    and diagram; the plan must have one position per train and name no other."""
     instance = parse_timetable(_read(args.timetable))
     plan = parse_plan(_read(args.plan))
     if len(plan.order) != instance.n:
@@ -182,7 +184,11 @@ def _cmd_validate(args) -> int:
     unknown = sorted({t for t in plan.order if not 1 <= t <= instance.n})
     if unknown:
         raise CliError(f"plan references unknown train ids: {unknown}")
-    report = validate(plan, instance, build_matrices(instance))
+    return plan, instance, build_matrices(instance)
+
+
+def _cmd_validate(args) -> int:
+    report = validate(*_load_plan(args))
     for violation in report.violations:
         print(violation)
     return 0 if report.ok else 3
@@ -235,14 +241,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    instance = parse_timetable(_read(args.timetable))
-    plan = parse_plan(_read(args.plan))
-    if len(plan.order) != instance.n:
-        raise CliError(
-            f"plan has {len(plan.order)} positions but the timetable has {instance.n} trains"
-        )
-    matrices = build_matrices(instance)
-    dot = render_dot(plan, instance, matrices)
+    dot = render_dot(*_load_plan(args))
     if args.out:
         _write(args.out, dot)
     else:

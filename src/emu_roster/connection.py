@@ -10,11 +10,9 @@ rule is computed; everything else reads its result.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from math import nan
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -53,25 +51,23 @@ class ConnectionMatrices:
     time() refuses pairs that cannot connect. departures maps each station to
     the ids of the trains leaving it, ascending: the trains connectable after
     train i are exactly departures[i's arrival station] minus i. tables holds
-    the per-train lists. reach maps each station with departures to a bound
-    (km, minutes) on what one step from it adds to a rotation's totals: the
-    largest mileage of the trains leaving it, and the longest wait,
-    t_connect + 1439, plus their longest travel time. When totals plus that
-    bound fit both windows, every train leaving the station fits them too;
-    a station whose departures are mixed, some depot-bound and some not,
-    gets (nan, nan), so the bound holds only where all of them are of one
-    kind.
+    the per-train lists.
 
     The constructor's step reads a station by list subscript rather than by
     name: a station's slot is its place in departures, which lists the depot
     first when any train leaves it. arr_slot and arr_reach, lists by train id
     (entry 0 is padding), give the slot and the reach of the station where
-    the train arrives.
+    the train arrives. A station's reach bounds (km, minutes) what one step
+    from it adds to a rotation's totals: the largest mileage of the trains
+    leaving it, and the longest wait, t_connect + 1439, plus their longest
+    travel time. When totals plus that bound fit both windows, every train
+    leaving the station fits them too; a station whose departures are mixed,
+    some depot-bound and some not, gets (nan, nan), so the bound holds only
+    where all of them are of one kind.
 
-    conn_rows, departures, tables, reach and the two lists are derived
-    together and are read-only by contract: editing one puts it out of step
-    with the others. Only reach is stored in an immutable form; freezing the
-    rows as tuples would slow build_matrices.
+    conn_rows, departures, tables and the two lists are derived together and
+    are read-only by contract: editing one puts it out of step with the
+    others. Freezing the rows as tuples would slow build_matrices.
 
     Matrices belong to the instance they were built from: t_connect, the
     depot station and the cycle windows are baked in, so an instance from
@@ -81,7 +77,6 @@ class ConnectionMatrices:
     conn_rows: list[list[int | None]]
     departures: dict[str, tuple[int, ...]]
     tables: TrainTables
-    reach: Mapping[str, tuple[float, float]]
     arr_slot: list[int]
     arr_reach: list[tuple[float, float]]
 
@@ -130,20 +125,8 @@ def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
     n = instance.n
     depot = instance.maint_station
     departures: dict[str, list[int]] = {depot: []}  # the depot first: slot 0
-    # per station: the longest mileage and travel time of its departures and
-    # the set of their kinds (depot-bound or not)
-    longest: dict[str, list] = {}
     for t in trains:  # ordered by id
         departures.setdefault(t.dep_station, []).append(t.id)
-        top = longest.get(t.dep_station)
-        if top is None:
-            longest[t.dep_station] = [t.mileage, t.travel_time, {t.arr_station == depot}]
-        else:
-            if t.mileage > top[0]:
-                top[0] = t.mileage
-            if t.travel_time > top[1]:
-                top[1] = t.travel_time
-            top[2].add(t.arr_station == depot)
 
     # Only the trains leaving where train i arrives can follow it, so the walk
     # visits the connecting pairs alone. At the n <= 10 of the exact oracle a
@@ -160,24 +143,28 @@ def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
             row[j - 1] = _WAITS[wait if wait >= t_connect else wait + MINUTES_PER_DAY]
         rows.append(row)
 
-    longest_wait = t_connect + MINUTES_PER_DAY - 1
-    reach = {
-        s: (km, longest_wait + travel) if len(kinds) == 1 else _MIXED
-        for s, (km, travel, kinds) in longest.items()
-    }
     if not departures[depot]:
         del departures[depot]
+    tables = TrainTables(
+        mileage=[0.0] + [t.mileage for t in trains],
+        travel=[0] + [t.travel_time for t in trains],
+        arr_at_depot=[False] + [t.arr_station == depot for t in trains],
+        arr_station=[""] + [t.arr_station for t in trains],
+    )
+    mileage, travel, at_depot = tables.mileage, tables.travel, tables.arr_at_depot
+    longest_wait = t_connect + MINUTES_PER_DAY - 1
+    reach = {}
+    for s, ids in departures.items():
+        if len(set(map(at_depot.__getitem__, ids))) > 1:
+            reach[s] = _MIXED
+        else:
+            reach[s] = (max(map(mileage.__getitem__, ids)),
+                        longest_wait + max(map(travel.__getitem__, ids)))
     slot = {s: k for k, s in enumerate(departures)}
     return ConnectionMatrices(
         conn_rows=rows,
         departures={s: tuple(ids) for s, ids in departures.items()},
-        tables=TrainTables(
-            mileage=[0.0] + [t.mileage for t in trains],
-            travel=[0] + [t.travel_time for t in trains],
-            arr_at_depot=[False] + [t.arr_station == depot for t in trains],
-            arr_station=[""] + [t.arr_station for t in trains],
-        ),
-        reach=MappingProxyType(reach),
+        tables=tables,
         arr_slot=[0] + [slot[t.arr_station] for t in trains],
         arr_reach=[_MIXED] + [reach[t.arr_station] for t in trains],
     )

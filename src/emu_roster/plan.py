@@ -109,6 +109,8 @@ def decode_rotations(
     for tid in order:
         if not 1 <= tid <= n:
             raise InvalidPlanError(f"train id {tid!r} outside 1..{n}")
+    if len(order) != n or len(set(order)) != n:
+        raise InvalidPlanError(f"order does not run each of the {n} trains exactly once")
 
     rotations: list[Rotation] = []
     start = waited = 0

@@ -1,9 +1,9 @@
 """Timetabled trains, model parameters, and the timetable file format.
 
 A timetable instance is the full input of the planner: the train list, the
-station universe, the single depot-adjacent station where maintenance can be
-performed, and the numeric model parameters (cycle limits, overrun tolerance,
-objective weights).
+single depot-adjacent station where maintenance can be performed, and the
+numeric model parameters (cycle limits, overrun tolerance, objective
+weights). The station universe follows from the trains and the depot.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class ModelParams:
     mileage slack; beta multiplies mileage overrun in the penalized fitness.
     l_cycle=4000 km and t_cycle=2880 min are the routine-inspection limits
     for Chinese high-speed EMUs; the remaining defaults are ours. Every value
-    must be finite.
+    must be finite, and t_connect a whole number of minutes.
     """
 
     l_cycle: float = 4000.0
@@ -61,6 +61,11 @@ class ModelParams:
             if not math.isfinite(value):
                 # an infinite window or weight makes every fitness inf or NaN
                 raise TimetableError(f"{key} must be finite, got {value!r}")
+        if isinstance(self.t_connect, bool) or self.t_connect != int(self.t_connect):
+            # a fractional turnaround renders to a line parse_timetable refuses
+            raise TimetableError(
+                f"t_connect must be an integer number of minutes, got {self.t_connect!r}"
+            )
         if self.l_cycle <= 0 or self.t_cycle <= 0:
             raise TimetableError("cycle limits must be positive")
         if not 0 < self.t_connect <= MINUTES_PER_DAY:
@@ -122,19 +127,18 @@ class Train:
 
 @dataclass(frozen=True)
 class TimetableInstance:
-    """A validated daily timetable: trains, stations, depot station, params.
+    """A validated daily timetable: trains, depot station, params.
 
     trains are sorted by id and ids form exactly 1..n, so the train with id
     k sits at trains[k-1]; matrix code indexes rows/columns the same way.
     """
 
     trains: tuple[Train, ...]
-    stations: frozenset[str]
-    maint_stations: frozenset[str]
+    maint_station: str
     params: ModelParams = field(default_factory=ModelParams)
 
     def __post_init__(self):
-        check_instance(self.trains, self.stations, self.maint_stations, self.params)
+        check_instance(self.trains, self.params)
 
     @property
     def n(self) -> int:
@@ -144,8 +148,14 @@ class TimetableInstance:
         return self.trains[train_id - 1]
 
     @cached_property
-    def maint_station(self) -> str:
-        return next(iter(self.maint_stations))
+    def stations(self) -> frozenset[str]:
+        """The stations the trains serve, and the depot station."""
+        return frozenset({t.dep_station for t in self.trains}
+                         | {t.arr_station for t in self.trains} | {self.maint_station})
+
+    @property
+    def maint_stations(self) -> frozenset[str]:
+        return frozenset({self.maint_station})
 
     @property
     def total_mileage(self) -> float:
@@ -163,7 +173,7 @@ class TimetableInstance:
         return replace(self, params=replace(self.params, **overrides))
 
 
-def check_instance(trains, stations, maint_stations, params) -> None:
+def check_instance(trains, params) -> None:
     """Enforce instance-level invariants; warn on tolerated oddities."""
     if not trains:
         raise TimetableError("no trains")
@@ -176,21 +186,13 @@ def check_instance(trains, stations, maint_stations, params) -> None:
     if list(ids) != sorted(ids):
         raise TimetableError("trains must be ordered by id")
 
-    for t in trains:
-        if t.dep_station not in stations or t.arr_station not in stations:
-            raise TimetableError(f"train {t.id} uses a station outside the station set")
-    if len(maint_stations) != 1:
-        raise TimetableError(f"exactly one maintenance station required, got {len(maint_stations)}")
-    if not maint_stations <= stations:
-        raise TimetableError(f"unknown station in maint_stations: {sorted(maint_stations - stations)}")
-
     # a single closed loop with no empty runs needs per-station flow balance
     arr_counts: dict[str, int] = {}
     dep_counts: dict[str, int] = {}
     for t in trains:
         arr_counts[t.arr_station] = arr_counts.get(t.arr_station, 0) + 1
         dep_counts[t.dep_station] = dep_counts.get(t.dep_station, 0) + 1
-    for s in sorted(stations):
+    for s in sorted(arr_counts.keys() | dep_counts.keys()):
         a, d = arr_counts.get(s, 0), dep_counts.get(s, 0)
         if a != d:
             raise TimetableError(f"flow imbalance at station {s}: {a} arrivals vs {d} departures")
@@ -307,15 +309,9 @@ def parse_timetable(text: str) -> TimetableInstance:
     params = ModelParams(**kwargs)
 
     trains.sort(key=lambda t: t.id)
-    stations = {t.dep_station for t in trains} | {t.arr_station for t in trains}
-    if maint[0] not in stations:
+    if not any(maint[0] in (t.dep_station, t.arr_station) for t in trains):
         raise TimetableError(f"unknown station in maint_stations: {maint[0]!r}")
-    return TimetableInstance(
-        trains=tuple(trains),
-        stations=frozenset(stations),
-        maint_stations=frozenset(maint),
-        params=params,
-    )
+    return TimetableInstance(trains=tuple(trains), maint_station=maint[0], params=params)
 
 
 def render_timetable(instance: TimetableInstance) -> str:
@@ -325,7 +321,7 @@ def render_timetable(instance: TimetableInstance) -> str:
         "l_cycle": repr(p.l_cycle),
         "t_cycle": repr(p.t_cycle),
         "lambda": repr(p.lam),
-        "t_connect": str(p.t_connect),
+        "t_connect": str(int(p.t_connect)),  # integral by ModelParams' check
         "omega1": repr(p.omega1),
         "omega2": repr(p.omega2),
         "beta": repr(p.beta),
@@ -391,10 +387,4 @@ def generate_instance(
         trains.extend([out, back])
         next_id += 2
 
-    stations = {depot} | {t.dep_station for t in trains} | {t.arr_station for t in trains}
-    return TimetableInstance(
-        trains=tuple(trains),
-        stations=frozenset(stations),
-        maint_stations=frozenset({depot}),
-        params=params,
-    )
+    return TimetableInstance(trains=tuple(trains), maint_station=depot, params=params)

@@ -43,8 +43,7 @@ def two_train_instance():
     )
     return TimetableInstance(
         trains=trains,
-        stations=frozenset({"C", "X"}),
-        maint_stations=frozenset({"C"}),
+        maint_station="C",
         params=ModelParams(),
     )
 
@@ -68,8 +67,7 @@ def chain():
     )
     return TimetableInstance(
         trains=trains,
-        stations=frozenset({"C", "X", "Y", "U", "V"}),
-        maint_stations=frozenset({"C"}),
+        maint_station="C",
         params=ModelParams(),
     )
 

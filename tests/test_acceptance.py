@@ -150,8 +150,7 @@ def test_formula_unit_values():
                 # two more trains balance the flow at A and C
                 Train(5, "B", 13 * 60, "A", 15 * 60, 100.0, 120),
                 Train(6, "B", 13 * 60, "C", 15 * 60, 100.0, 120)),
-        stations=frozenset({"A", "B", "C"}),
-        maint_stations=frozenset({"B"}),
+        maint_station="B",
         params=ModelParams(t_connect=20),
     )
     conn = build_matrices(cases).conn_rows
@@ -162,8 +161,7 @@ def test_formula_unit_values():
     # accumulation: a maintenance arc resets, an ordinary arc adds wait + travel
     pair = TimetableInstance(
         trains=(vi, Train(2, "A", 10 * 60 + 40, "B", 12 * 60, 500.0, 80)),
-        stations=frozenset({"A", "B"}),
-        maint_stations=frozenset({"B"}),
+        maint_station="B",
         params=ModelParams(),
     )
     pair_m = build_matrices(pair)
@@ -191,8 +189,7 @@ def test_formula_unit_values():
             Train(1, "C", 8 * 60, "X", 10 * 60, 2100.0, 120),
             Train(2, "X", 10 * 60 + 40, "C", 12 * 60 + 40, 2100.0, 120),
         ),
-        stations=frozenset({"C", "X"}),
-        maint_stations=frozenset({"C"}),
+        maint_station="C",
         params=ModelParams(),
     )
     plan = CirculationPlan(order=(1, 2), maint_after=(0, 1))

@@ -264,6 +264,19 @@ def test_diagram_two_train(tmp_path, capsys):
     assert out.count("style=dashed") == 1
 
 
+def test_diagram_unknown_train_exit_1(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(
+        "cycle\n" + "".join(
+            f"pos {d} train {d + 30} maint {1 if d == 12 else 0}\n" for d in range(1, 13)
+        )
+    )
+    code, out, err = run(capsys, "diagram", FIG1, str(plan))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: plan references unknown train ids: {list(range(31, 43))}\n"
+
+
 def test_diagram_invalid_plan_exit_1(tmp_path, capsys):
     plan = tmp_path / "plan.txt"
     plan.write_text(

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -24,11 +25,9 @@ def train(tid, dep, dep_hm, arr, arr_hm, km=300.0):
 
 def instance(*trains, maint="B"):
     """A flow-balanced instance made of trains."""
-    stations = {t.dep_station for t in trains} | {t.arr_station for t in trains}
     return TimetableInstance(
         trains=trains,
-        stations=frozenset(stations),
-        maint_stations=frozenset({maint}),
+        maint_station=maint,
         params=ModelParams(t_connect=T_CONNECT),
     )
 
@@ -220,23 +219,35 @@ def test_matrices_deterministic(fig1):
     assert a.dump_tsv("theta") == b.dump_tsv("theta")
 
 
-def test_station_slots_by_train_id(fig1, fig1_matrices):
-    # a station's slot is its place in departures, which lists the depot first
-    m = fig1_matrices
-    slots = list(m.departures)
-    assert slots[0] == fig1.maint_station
-    assert m.arr_slot[0] == 0 and len(m.arr_slot) == len(m.arr_reach) == fig1.n + 1
-    for k in range(1, fig1.n + 1):
-        s = fig1.train(k).arr_station
-        assert slots[m.arr_slot[k]] == s
-        assert m.arr_reach[k] is m.reach[s]
+def test_station_slots_by_train_id(fig1):
+    # fig1, and paired timetables of n = 8 and n = 500
+    for inst in (fig1, generate_instance(4, 4, seed=3), generate_instance(250, 4, seed=3)):
+        m = build_matrices(inst)
+        # a station's slot is its place in departures, which lists the depot first
+        slots = list(m.departures)
+        assert slots[0] == inst.maint_station
+        assert m.arr_slot[0] == 0 and len(m.arr_slot) == len(m.arr_reach) == inst.n + 1
+        longest_wait = inst.params.t_connect + 1439
+        for k in range(1, inst.n + 1):
+            s = inst.train(k).arr_station
+            assert slots[m.arr_slot[k]] == s
+            # the reach, recomputed from the trains leaving s
+            leaving = [t for t in inst.trains if t.dep_station == s]
+            if len({t.arr_station == inst.maint_station for t in leaving}) > 1:
+                assert all(math.isnan(x) for x in m.arr_reach[k])
+            else:
+                assert m.arr_reach[k] == (max(t.mileage for t in leaving),
+                                          longest_wait + max(t.travel_time for t in leaving))
+    # fig1's A and B send trains both to the depot and away
+    m = build_matrices(fig1)
+    mixed = [k for k in range(1, fig1.n + 1) if fig1.train(k).arr_station in "AB"]
+    assert mixed and all(math.isnan(m.arr_reach[k][0]) for k in mixed)
 
 
 def test_depot_without_departures_gets_no_slot():
     inst = TimetableInstance(
         trains=(train(1, "A", "06:00", "C", "07:00"), train(2, "C", "08:00", "A", "09:00")),
-        stations=frozenset({"A", "B", "C"}),
-        maint_stations=frozenset({"B"}),
+        maint_station="B",
         params=ModelParams(t_connect=T_CONNECT),
     )
     m = build_matrices(inst)

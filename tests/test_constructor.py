@@ -44,8 +44,7 @@ def tricky_instance():
     )
     return TimetableInstance(
         trains=trains,
-        stations=frozenset({"C", "X"}),
-        maint_stations=frozenset({"C"}),
+        maint_station="C",
         params=ModelParams(),
     )
 
@@ -126,8 +125,7 @@ def test_oversized_train_is_globally_infeasible():
                 Train(1, "C", 6 * 60, "X", 10 * 60, 4500.0, 240),
                 Train(2, "X", 11 * 60, "C", 15 * 60, 4500.0, 240),
             ),
-            stations=frozenset({"C", "X"}),
-            maint_stations=frozenset({"C"}),
+            maint_station="C",
         )
     m = build_matrices(inst)
     with pytest.raises(InfeasibleError, match="alone exceeds"):
@@ -263,7 +261,7 @@ def test_look_ahead_agrees_with_candidates(case, fig1):
     m = build_matrices(inst)
     mileage, travel, arr_at_depot, arr_station = m.tables
     for s, ids in m.departures.items():
-        reach_km, reach_min = m.reach[s]
+        reach_km, reach_min = m.arr_reach[arr_station.index(s)]  # a train arriving at s
         if len({arr_at_depot[j] for j in ids}) > 1:
             assert math.isnan(reach_km) and math.isnan(reach_min)
             continue
@@ -285,7 +283,7 @@ def test_look_ahead_agrees_with_candidates(case, fig1):
         args = (free, acc_l, acc_t, m.conn_rows[prev - 1], m.tables, max_l, max_t)
         away, usable = _candidates(*args)
         seen.add(bool(away or usable))
-        reach_km, reach_min = m.reach[arr_station[prev]]
+        reach_km, reach_min = m.arr_reach[prev]
         shortcut = acc_l + reach_km <= max_l and acc_t + reach_min <= max_t
         if shortcut:
             assert (away, usable) in ((free, []), ([], free))
@@ -309,8 +307,7 @@ def overrun_instance():
     )
     return TimetableInstance(
         trains=trains,
-        stations=frozenset({"C", "X", "Y"}),
-        maint_stations=frozenset({"C"}),
+        maint_station="C",
         params=ModelParams(),
     )
 

@@ -78,8 +78,7 @@ def test_disconnected_components_are_infeasible():
     )
     inst = TimetableInstance(
         trains=trains,
-        stations=frozenset({"C", "X", "Y", "Z"}),
-        maint_stations=frozenset({"C"}),
+        maint_station="C",
         params=ModelParams(),
     )
     res = brute_force(inst, build_matrices(inst))
@@ -159,8 +158,7 @@ def test_compare_consistently_infeasible():
     )
     inst = TimetableInstance(
         trains=trains,
-        stations=frozenset({"C", "X", "Y", "Z"}),
-        maint_stations=frozenset({"C"}),
+        maint_station="C",
         params=ModelParams(),
     )
     m = build_matrices(inst)

@@ -29,8 +29,7 @@ def pair_instance(conn_gap=40, mileage=500.0, params=None):
     t2 = Train(2, "X", 10 * 60 + conn_gap, "C", 12 * 60 + conn_gap, mileage, 120)
     return TimetableInstance(
         trains=(t1, t2),
-        stations=frozenset({"C", "X"}),
-        maint_stations=frozenset({"C"}),
+        maint_station="C",
         params=params or ModelParams(),
     )
 
@@ -392,6 +391,23 @@ def test_rotation_and_fitness_helpers_reject_unknown_ids(fig1, fig1_matrices):
         fitness_value(plan, fig1, fig1_matrices)
     # the validator stays total and just reports
     assert "SHAPE" in validate(plan, fig1, fig1_matrices).tags()
+
+
+def test_rotation_and_fitness_helpers_reject_a_repeated_train(fig1, fig1_matrices):
+    # train 3 twice and train 6 never: every id is in range, so only the
+    # permutation check stands between the plan and a score
+    built = construct(fig1, fig1_matrices, np.random.default_rng(0))
+    order = list(built.order)
+    order[1] = 3
+    plan = CirculationPlan(order=tuple(order), maint_after=built.maint_after)
+    assert 6 not in plan.order
+    assert "EQ8/EQ9" in validate(plan, fig1, fig1_matrices).tags()
+    for helper in (decode_rotations, fitness_value, plan_summary, render_plan):
+        with pytest.raises(InvalidPlanError, match="exactly once"):
+            helper(plan, fig1, fig1_matrices)
+    # a short order with no repeat is refused the same way
+    with pytest.raises(InvalidPlanError, match="exactly once"):
+        decode_rotations(CirculationPlan(order=(1, 2), maint_after=(0, 1)), fig1, fig1_matrices)
 
 
 # --- golden validator text and summary -----------------------------------------

@@ -46,8 +46,7 @@ def compact_instance():
     )
     return TimetableInstance(
         trains=trains,
-        stations=frozenset({"C", "X"}),
-        maint_stations=frozenset({"C"}),
+        maint_station="C",
         params=ModelParams(),
     )
 

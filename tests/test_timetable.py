@@ -7,6 +7,7 @@ import pytest
 from emu_roster import (
     ModelParams,
     TimetableError,
+    TimetableInstance,
     TimetableWarning,
     Train,
     generate_instance,
@@ -26,6 +27,18 @@ def test_fig1_parses(fig1):
     assert fig1.params.t_cycle == 2880.0
     assert fig1.train(5).dep_time == 7 * 60 + 30
     assert fig1.train(5).mileage == 640.0
+
+
+def test_stations_are_derived():
+    # the depot is a station even when no train serves it; the set form of
+    # the depot holds it alone
+    a, c = Train(1, "A", 360, "C", 420, 300.0, 60), Train(2, "C", 480, "A", 540, 300.0, 60)
+    inst = TimetableInstance(trains=(a, c), maint_station="B")
+    assert inst.stations == frozenset({"A", "B", "C"})
+    assert inst.maint_stations == frozenset({"B"}) == frozenset({inst.maint_station})
+    assert [f.name for f in dataclasses.fields(inst)] == ["trains", "maint_station", "params"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.maint_station = "A"
 
 
 def test_empty_file_is_no_trains():
@@ -116,6 +129,17 @@ def test_t_connect_at_most_one_day():
     for t_connect in (0, 1441):
         with pytest.raises(TimetableError, match=r"t_connect must lie in \(0, 1440\]"):
             ModelParams(t_connect=t_connect)
+
+
+@pytest.mark.parametrize("value", [20.5, True, False], ids=["fraction", "True", "False"])
+def test_t_connect_must_be_whole_minutes(value):
+    with pytest.raises(TimetableError, match=r"^t_connect must be an integer number of minutes"):
+        ModelParams(t_connect=value)
+    # a whole float is accepted and renders as the integer parse_timetable reads
+    inst = generate_instance(3, 2, 1, ModelParams(t_connect=30.0, lam=0.1))
+    text = render_timetable(inst)
+    assert "\nparam t_connect 30\n" in text
+    assert parse_timetable(text) == inst and render_timetable(parse_timetable(text)) == text
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])

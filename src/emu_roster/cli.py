@@ -17,7 +17,7 @@ from dataclasses import fields, replace
 
 from . import oracle as oracle_mod
 from .connection import build_matrices
-from .constructor import InfeasibleError
+from .constructor import MAX_RESTARTS, InfeasibleError
 from .diagram import render_dot
 from .plan import (
     PlanFormatError,
@@ -32,13 +32,15 @@ from .timetable import (
     ModelParams,
     TimetableError,
     generate_instance,
+    param_field,
     parse_timetable,
     render_timetable,
 )
 
-_MODEL_KEYS = set(PARAM_KEYS)
 _SWARM_KEYS = {f.name for f in fields(SwarmConfig)}
-_EXTRA_KEYS = {"maint_prob", "max_restarts"}
+# every config key: the model parameters, the swarm's, and the constructor knobs
+# (max_restarts, and maint_prob, which is deprecated but still range-checked)
+_KEYS = set(PARAM_KEYS) | _SWARM_KEYS | {"maint_prob", "max_restarts"}
 _INT_KEYS = {"n_particles", "k_max", "seed", "max_restarts", "t_connect"}
 
 
@@ -71,10 +73,8 @@ def _write(path: str, content: str) -> None:
 
 
 def _parse_config_file(path: str) -> dict[str, float]:
-    """key=value lines; '#' comments. Keys from SwarmConfig, the model
-    parameters, or the constructor knobs (max_restarts, and maint_prob, which
-    is deprecated but still range-checked). Counts, the seed and t_connect
-    must be integral and are returned as ints."""
+    """key=value lines; '#' comments; keys from _KEYS. Counts, the seed and
+    t_connect must be integral and are returned as ints."""
     values: dict[str, float] = {}
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -84,7 +84,7 @@ def _parse_config_file(path: str) -> dict[str, float]:
             raise CliError(f"{path}:{lineno}: expected key=value")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _MODEL_KEYS | _SWARM_KEYS | _EXTRA_KEYS:
+        if key not in _KEYS:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             value = float(val.strip())
@@ -99,50 +99,34 @@ def _parse_config_file(path: str) -> dict[str, float]:
     return values
 
 
-def _with_model_overrides(params: ModelParams, args) -> tuple[ModelParams, dict[str, float]]:
-    """Apply model parameters from --config, then from the flags, which win.
-
-    Returns the resulting parameters and the parsed config file."""
-    cfgfile = _parse_config_file(args.config) if args.config else {}
-    overrides = {}
-    for key in PARAM_KEYS:
-        value = getattr(args, key, None)  # l_cycle and t_cycle have no flag
-        if value is None:
-            value = cfgfile.get(key)
-        if value is not None:
-            overrides["lam" if key == "lambda" else key] = value
-    return replace(params, **overrides), cfgfile
+def _settings(args) -> dict[str, float]:
+    """The --config file's values with the flags given on top, keyed by config
+    key (each flag's dest is its key; gen's --seed seeds the generator, and gen
+    reads only the model keys)."""
+    values = _parse_config_file(args.config) if args.config else {}
+    for key, value in vars(args).items():
+        if key in _KEYS and value is not None:
+            _check_range(key, value, "--" + key.replace("_", "-"))
+            values[key] = value
+    return values
 
 
-def _load_instance(args):
+def _model_params(params: ModelParams, settings: dict[str, float]) -> ModelParams:
+    return replace(params, **{param_field(k): settings[k] for k in PARAM_KEYS if k in settings})
+
+
+def _load_search(args):
+    """(instance, swarm configuration, max_restarts) of solve and compare,
+    with the timetable's param lines under the settings."""
     instance = parse_timetable(_read(args.timetable))
-    params, cfgfile = _with_model_overrides(instance.params, args)
+    settings = _settings(args)
+    params = _model_params(instance.params, settings)
     if params != instance.params:  # a new instance re-runs the checks and their warnings
         instance = replace(instance, params=params)
-    return instance, cfgfile
-
-
-def _swarm_config(args, cfgfile: dict[str, float]) -> tuple[SwarmConfig, int]:
-    kwargs = {}
-    for key in _SWARM_KEYS:
-        if key in cfgfile:
-            kwargs[key] = cfgfile[key]
-    if getattr(args, "particles", None) is not None:
-        kwargs["n_particles"] = args.particles
-    if getattr(args, "iters", None) is not None:
-        kwargs["k_max"] = args.iters
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    maint_prob = getattr(args, "maint_prob", None)
-    if maint_prob is not None:
-        _check_range("maint_prob", maint_prob, "--maint-prob")
-    if maint_prob is not None or "maint_prob" in cfgfile:
+    if "maint_prob" in settings:
         print("warning: maint_prob is deprecated and has no effect", file=sys.stderr)
-    max_restarts = cfgfile.get("max_restarts", 100)
-    if getattr(args, "max_restarts", None) is not None:
-        max_restarts = args.max_restarts
-        _check_range("max_restarts", max_restarts, "--max-restarts")
-    return SwarmConfig(**kwargs), max_restarts
+    cfg = SwarmConfig(**{k: v for k, v in settings.items() if k in _SWARM_KEYS})
+    return instance, cfg, settings.get("max_restarts", MAX_RESTARTS)
 
 
 def _trace_csv(result: SolveResult) -> str:
@@ -153,8 +137,7 @@ def _trace_csv(result: SolveResult) -> str:
 
 
 def _cmd_solve(args) -> int:
-    instance, cfgfile = _load_instance(args)
-    cfg, max_restarts = _swarm_config(args, cfgfile)
+    instance, cfg, max_restarts = _load_search(args)
     matrices = build_matrices(instance)
     result = solve(instance, matrices, cfg, max_restarts=max_restarts)
 
@@ -195,8 +178,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    instance, cfgfile = _load_instance(args)
-    cfg, max_restarts = _swarm_config(args, cfgfile)
+    instance, cfg, max_restarts = _load_search(args)
     matrices = build_matrices(instance)
     try:
         exact = oracle_mod.brute_force(instance, matrices, n_limit=args.oracle_limit)
@@ -230,7 +212,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params, _ = _with_model_overrides(ModelParams(), args)
+    params = _model_params(ModelParams(), _settings(args))
     instance = generate_instance(args.pairs, args.turnbacks, args.seed, params)
     text = render_timetable(instance)
     if args.out:
@@ -260,16 +242,26 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_swarm_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help=f"swarm seed (default {DEFAULT_SEED})")
-    p.add_argument("--particles", type=int, help="swarm size")
-    p.add_argument("--iters", type=int, help="iteration count")
+    p.add_argument("--particles", dest="n_particles", metavar="PARTICLES", type=int,
+                   help="swarm size")
+    p.add_argument("--iters", dest="k_max", metavar="ITERS", type=int, help="iteration count")
     p.add_argument("--maint-prob", dest="maint_prob", type=float,
                    help="deprecated, has no effect (still checked to lie in [0, 1])")
     p.add_argument("--max-restarts", dest="max_restarts", type=int,
                    help="failed construction attempts allowed before giving up (>= 0)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors on exit code 1, as CliError's: argparse's
+    own code 2 means an infeasible instance here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="emu-roster", description=__doc__)
+    parser = _Parser(prog="emu-roster", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="compute a circulation plan")

@@ -69,9 +69,10 @@ class ConnectionMatrices:
     are read-only by contract: editing one puts it out of step with the
     others. Freezing the rows as tuples would slow build_matrices.
 
-    Matrices belong to the instance they were built from: t_connect, the
-    depot station and the cycle windows are baked in, so an instance from
-    with_params needs its own build_matrices call.
+    Matrices belong to the trains, depot station and t_connect they were
+    built from, the only inputs build_matrices reads: an instance from
+    with_params that changes t_connect needs its own build_matrices call,
+    one that changes only the cycle windows, lambda or the weights does not.
     """
 
     conn_rows: list[list[int | None]]

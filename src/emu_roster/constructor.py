@@ -39,6 +39,8 @@ from .connection import ConnectionMatrices, TrainTables
 from .plan import CirculationPlan
 from .timetable import ModelParams, TimetableInstance
 
+MAX_RESTARTS = 100  # failed attempts construct_with_stats allows by default
+
 
 class InfeasibleError(RuntimeError):
     """No circulation plan can exist (or none was found within the restart budget)."""
@@ -262,7 +264,7 @@ def check_maint_prob(maint_prob: float | None) -> None:
 
 def construct_with_stats(
     instance: TimetableInstance, matrices: ConnectionMatrices, rng: np.random.Generator,
-    max_restarts: int = 100, maint_prob: float | None = None, proposal=None,
+    max_restarts: int = MAX_RESTARTS, maint_prob: float | None = None, proposal=None,
 ) -> tuple[CirculationPlan, int, int, list[float]]:
     """Run build_cycle until it succeeds; returns (plan, failed attempts,
     waited, rotation_km), the last two as build_cycle returns them.
@@ -290,7 +292,7 @@ def construct_with_stats(
 
 def construct(
     instance: TimetableInstance, matrices: ConnectionMatrices, rng: np.random.Generator,
-    max_restarts: int = 100, maint_prob: float | None = None,
+    max_restarts: int = MAX_RESTARTS, maint_prob: float | None = None,
 ) -> CirculationPlan:
     """Build a feasible circulation plan, restarting on dead ends."""
     check_maint_prob(maint_prob)

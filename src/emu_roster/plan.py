@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 from .connection import ConnectionMatrices
@@ -96,15 +97,21 @@ def decode_rotations(
 ) -> list[Rotation]:
     """Cut the cycle at maintenance arcs and total up each piece.
 
-    Requires the plan to be structurally sound (permutation, closing
-    maintenance flag set, all internal arcs connectable); raises
-    InvalidPlanError otherwise. Concatenating the result reproduces `order`.
+    Requires the plan to be structurally sound (integer ids forming a
+    permutation, 0/1 flags with the closing one set, all internal arcs
+    connectable); raises InvalidPlanError otherwise. Concatenating the
+    result reproduces `order`.
     """
     order, flags = plan.order, plan.maint_after
     if not flags or flags[-1] != 1:
         raise InvalidPlanError("cycle does not close with a maintenance arc")
     if len(order) != len(flags):
         raise InvalidPlanError("order and maint_after lengths differ")
+    if not set(flags) <= {0, 1}:
+        raise InvalidPlanError(f"maintenance flags must be 0 or 1, got {set(flags) - {0, 1}}")
+    for kind in set(map(type, order)):
+        if kind is bool or not issubclass(kind, Integral):
+            raise InvalidPlanError(f"train ids must be integers, got a {kind.__name__}")
     n = instance.n
     for tid in order:
         if not 1 <= tid <= n:

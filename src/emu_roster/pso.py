@@ -42,7 +42,7 @@ from numbers import Integral
 import numpy as np
 
 from .connection import ConnectionMatrices, build_matrices
-from .constructor import check_maint_prob, construct_with_stats
+from .constructor import MAX_RESTARTS, check_maint_prob, construct_with_stats
 from .plan import CirculationPlan, fitness_from_totals
 from .timetable import TimetableInstance
 
@@ -170,7 +170,7 @@ def decode(
     matrices: ConnectionMatrices,
     rng: np.random.Generator,
     maint_prob: float | None = None,
-    max_restarts: int = 100,
+    max_restarts: int = MAX_RESTARTS,
 ) -> tuple[CirculationPlan, int]:
     """Realize a position vector as a plan, repairing illegal entries.
 
@@ -203,7 +203,7 @@ def solve(
     matrices: ConnectionMatrices | None = None,
     cfg: SwarmConfig | None = None,
     maint_prob: float | None = None,
-    max_restarts: int = 100,
+    max_restarts: int = MAX_RESTARTS,
 ) -> SolveResult:
     """Full swarm run; returns the best fully feasible plan encountered.
 

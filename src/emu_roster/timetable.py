@@ -57,7 +57,7 @@ class ModelParams:
 
     def __post_init__(self):
         for key in PARAM_KEYS:
-            value = getattr(self, "lam" if key == "lambda" else key)
+            value = getattr(self, param_field(key))
             if not math.isfinite(value):
                 # an infinite window or weight makes every fitness inf or NaN
                 raise TimetableError(f"{key} must be finite, got {value!r}")
@@ -87,8 +87,14 @@ class ModelParams:
         return (1.0 + self.lam) * self.t_cycle
 
 
-# file keys, in render order; "lambda" is the file spelling of ModelParams.lam
+# file keys, in render order
 PARAM_KEYS = ("l_cycle", "t_cycle", "lambda", "t_connect", "omega1", "omega2", "beta")
+
+
+def param_field(key: str) -> str:
+    """The ModelParams field a file key names: "lambda" is the file spelling
+    of lam, every other key its field's name."""
+    return "lam" if key == "lambda" else key
 
 
 @dataclass(frozen=True)
@@ -301,7 +307,7 @@ def parse_timetable(text: str) -> TimetableInstance:
     if len(maint) != 1:
         raise TimetableError(f"exactly one maint_station line required, got {len(maint)}")
 
-    kwargs = {("lam" if k == "lambda" else k): v for k, v in params_seen.items()}
+    kwargs = {param_field(k): v for k, v in params_seen.items()}
     if "t_connect" in kwargs:
         if not kwargs["t_connect"].is_integer():  # also refuses inf and NaN
             raise TimetableError("t_connect must be an integer number of minutes")
@@ -316,17 +322,9 @@ def parse_timetable(text: str) -> TimetableInstance:
 
 def render_timetable(instance: TimetableInstance) -> str:
     """Render an instance to its file form. Byte-stable: parse(render(x)) == x."""
-    p = instance.params
-    values = {
-        "l_cycle": repr(p.l_cycle),
-        "t_cycle": repr(p.t_cycle),
-        "lambda": repr(p.lam),
-        "t_connect": str(int(p.t_connect)),  # integral by ModelParams' check
-        "omega1": repr(p.omega1),
-        "omega2": repr(p.omega2),
-        "beta": repr(p.beta),
-    }
-    lines = [f"param {key} {values[key]}" for key in PARAM_KEYS]
+    values = {key: getattr(instance.params, param_field(key)) for key in PARAM_KEYS}
+    values["t_connect"] = int(values["t_connect"])  # integral by ModelParams' check
+    lines = [f"param {key} {value!r}" for key, value in values.items()]
     lines.append(f"maint_station {instance.maint_station}")
     for t in instance.trains:  # already sorted by id
         lines.append(

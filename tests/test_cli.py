@@ -3,7 +3,16 @@ import re
 
 import pytest
 
-from emu_roster import parse_plan, parse_timetable, render_plan, validate, build_matrices
+from emu_roster import (
+    InfeasibleError,
+    SwarmConfig,
+    build_matrices,
+    parse_plan,
+    parse_timetable,
+    render_plan,
+    solve,
+    validate,
+)
 from emu_roster.cli import main
 
 FIG1 = "tests/data/fig1.timetable"
@@ -432,6 +441,104 @@ def test_model_param_flags_reach_solver(tmp_path, capsys):
     assert code == 0
     values = dict(line.split(" ", 1) for line in out.splitlines())
     assert float(values["objective"]) == float(values["connection_minutes"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", FIG1, "--bogus", "1"),
+    ("solve", FIG1, "--out", "unwritten.plan", "--bogus", "1"),
+    ("solve", FIG1, "--out", "unwritten.plan", "--iters", "abc"),
+    (),
+], ids=["unknown-flag-no-out", "unknown-flag", "non-integer-iters", "no-command"])
+def test_usage_errors_exit_1(capsys, argv):
+    # exit code 2 belongs to an infeasible instance, not to argparse
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+
+
+def test_model_settings_precedence_in_gen(tmp_path, capsys):
+    # every model key from the file; a flag, where there is one, wins over it
+    in_file = {"l_cycle": "5000.0", "t_cycle": "3000.0", "lambda": "0.02", "t_connect": "25",
+               "omega1": "2.0", "omega2": "0.5", "beta": "20.0"}
+    flags = {"lambda": "0.1", "t_connect": "35", "omega1": "3.0", "omega2": "0.25",
+             "beta": "30.0"}
+    cfgf = tmp_path / "model.cfg"
+    cfgf.write_text("".join(f"{k}={v}\n" for k, v in in_file.items()))
+
+    def param_lines(*extra):
+        code, out, _ = run(capsys, "gen", "--pairs", "3", "--seed", "2", "--config", str(cfgf),
+                           *extra)
+        assert code == 0
+        return dict(line.split()[1:] for line in out.splitlines() if line.startswith("param"))
+
+    assert param_lines() == in_file
+    argv = [a for k, v in flags.items() for a in ("--" + k.replace("_", "-"), v)]
+    assert param_lines(*argv) == {**in_file, **flags}
+
+
+# (config key, value in the file, its flag or None, value by the flag)
+SWARM_SETTINGS = [
+    ("n_particles", 3, "--particles", 5),
+    ("k_max", 5, "--iters", 4),
+    ("seed", 2, "--seed", 9),
+    ("max_restarts", 2, "--max-restarts", 40),
+    ("w_max", 0.8, None, None),
+    ("w_min", 0.3, None, None),
+    ("c1", 1.5, None, None),
+    ("c2", 1.0, None, None),
+    ("v_min", -3.0, None, None),
+    ("v_max", 3.0, None, None),
+]
+
+
+@pytest.mark.parametrize("key, in_file, flag, by_flag", SWARM_SETTINGS,
+                         ids=[case[0] for case in SWARM_SETTINGS])
+def test_swarm_settings_precedence_in_solve(tmp_path, capsys, key, in_file, flag, by_flag):
+    # the timetable's own param lines, off their defaults, lie under file and flags
+    text = open(FIG1).read().replace("param lambda 0.05", "param lambda 0.08")
+    text = text.replace("param omega2 0.01", "param omega2 0.02")
+    tt = tmp_path / "tt.timetable"
+    tt.write_text(text)
+    base = {"n_particles": 4, "k_max": 6, "seed": 7}
+    cfgf = tmp_path / "swarm.cfg"
+    cfgf.write_text("".join(f"{k}={v}\n" for k, v in {**base, key: in_file}.items()))
+
+    def library(value):
+        inst = parse_timetable(text)
+        m = build_matrices(inst)
+        cfg = {**base, key: value}
+        restarts = {"max_restarts": cfg.pop("max_restarts")} if key == "max_restarts" else {}
+        try:
+            result = solve(inst, m, SwarmConfig(**cfg), **restarts)
+        except InfeasibleError:
+            return 2, None
+        trace = "".join(f"{p.iteration},{p.global_best_fitness:.6f},{p.feasible_fraction:.6f}\n"
+                        for p in result.trace)
+        return 0, (render_plan(result.best_plan, inst, m), result.restarts, trace)
+
+    def cli(*extra):
+        plan_path = tmp_path / "plan.txt"
+        code, out, _ = run(capsys, "solve", str(tt), "--out", str(plan_path),
+                           "--config", str(cfgf), *extra)
+        if code:
+            return code, None
+        values = dict(line.split(" ", 1) for line in out.splitlines())
+        trace = (tmp_path / "plan.txt.trace.csv").read_text().split("\n", 1)[1]
+        return 0, (plan_path.read_text(), int(values["restarts"]), trace)
+
+    from_file = cli()
+    assert from_file == library(in_file)
+    if flag is None:
+        assert from_file != library(base.get(key, getattr(SwarmConfig(), key)))
+    else:
+        from_flag = cli(flag, str(by_flag))
+        assert from_flag == library(by_flag)
+        assert from_flag != from_file
 
 
 def _sha(data: bytes) -> str:

@@ -1,10 +1,12 @@
 import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from emu_roster import (
+    ConnectionMatrices,
     InfeasibleError,
     ModelParams,
     TimetableInstance,
@@ -242,6 +244,17 @@ def test_station_slots_by_train_id(fig1):
     m = build_matrices(fig1)
     mixed = [k for k in range(1, fig1.n + 1) if fig1.train(k).arr_station in "AB"]
     assert mixed and all(math.isnan(m.arr_reach[k][0]) for k in mixed)
+
+
+def test_matrices_read_only_t_connect_and_the_depot():
+    # a paired timetable: no station is mixed, so no NaN reach defeats ==
+    inst = generate_instance(20, 3, seed=5)
+    other = inst.with_params(l_cycle=6000.0, t_cycle=4000.0, lam=0.1, omega1=2.0,
+                             omega2=0.5, beta=20.0)
+    a, b = build_matrices(inst), build_matrices(other)
+    for f in fields(ConnectionMatrices):
+        assert getattr(a, f.name) == getattr(b, f.name), f.name
+    assert build_matrices(inst.with_params(t_connect=30)).conn_rows != a.conn_rows
 
 
 def test_depot_without_departures_gets_no_slot():

@@ -410,6 +410,27 @@ def test_rotation_and_fitness_helpers_reject_a_repeated_train(fig1, fig1_matrice
         decode_rotations(CirculationPlan(order=(1, 2), maint_after=(0, 1)), fig1, fig1_matrices)
 
 
+def _flag_5_is_2(plan):
+    flags = list(plan.maint_after)
+    flags[4] = 2
+    return CirculationPlan(plan.order, tuple(flags))
+
+
+@pytest.mark.parametrize("corrupt", [
+    _flag_5_is_2,
+    lambda plan: CirculationPlan(tuple(True if t == 1 else t for t in plan.order),
+                                 plan.maint_after),
+    lambda plan: CirculationPlan(tuple(map(float, plan.order)), plan.maint_after),
+], ids=["flag-2", "bool-id", "float-ids"])
+def test_rotation_and_fitness_helpers_refuse_what_validate_calls_shape(
+        fig1, fig1_matrices, corrupt):
+    plan = corrupt(construct(fig1, fig1_matrices, np.random.default_rng(0)))
+    assert "SHAPE" in validate(plan, fig1, fig1_matrices).tags()
+    for helper in (decode_rotations, fitness_value, plan_summary, render_plan):
+        with pytest.raises(InvalidPlanError):
+            helper(plan, fig1, fig1_matrices)
+
+
 # --- golden validator text and summary -----------------------------------------
 
 def _golden_n100():

@@ -18,6 +18,7 @@ from emu_roster import (
     objective_value,
     parse_plan,
     plan_summary,
+    render_dot,
     render_plan,
     validate,
 )
@@ -502,6 +503,56 @@ def test_golden_summary():
     inst, m, plan = _golden_n100()
     summary = plan_summary(plan, inst, m)
     assert hashlib.sha256(repr(summary).encode()).hexdigest() == GOLDEN_SUMMARY
+
+
+# SHA-256 of the read side's output on the n = 100 golden plan ("clean") and on
+# its EQ11 variant, which is structurally sound but overruns the km allowance
+GOLDEN_READ_SIDE = {
+    "render_plan clean": "40d94a502805faa50ba579d95a4fd2144010768d4264a8fbcffa8f11a15f0f79",
+    "render_dot clean": "47cdab3824be8fa43ff85b2da604dd2ba7ef6dbc4c30175daf0a27ebf66bcab0",
+    "objective_value clean": "318f2fa8247d00c02b29bcab0016490530ed57d4f9e0e5efaf00e6ccfc516967",
+    "render_plan EQ11": "ba5c819be684bdf355b946767089512317065a20ba4601c9d6fba49c036c978b",
+    "plan_summary EQ11": "00ee01f5ed6479b1eb54fbddb4a31ad119a064a1f0613fd84f237d5d99d5239b",
+}
+
+
+def test_golden_read_side():
+    inst, m, plan = _golden_n100()
+    overrun = _corrupt(plan, inst, m, "EQ11")
+    summary = plan_summary(overrun, inst, m)
+    assert summary.objective is None
+    texts = {
+        "render_plan clean": render_plan(plan, inst, m),
+        "render_dot clean": render_dot(plan, inst, m),
+        "objective_value clean": repr(objective_value(plan, inst, m)),
+        "render_plan EQ11": render_plan(overrun, inst, m),
+        "plan_summary EQ11": repr(summary),
+    }
+    assert {k: hashlib.sha256(t.encode()).hexdigest() for k, t in texts.items()} == GOLDEN_READ_SIDE
+    assert parse_plan(texts["render_plan clean"]) == plan
+    assert parse_plan(texts["render_plan EQ11"]) == overrun
+
+
+def _as_int64(ids):
+    return tuple(np.int64(t) for t in ids)
+
+
+def _mixed(ids):
+    return tuple(np.int64(t) if d % 2 else t for d, t in enumerate(ids))
+
+
+@pytest.mark.parametrize("family", [None] + sorted(GOLDEN_VIOLATIONS))
+def test_validate_reads_numpy_and_mixed_ids_like_plain_ints(family):
+    inst, m, plan = _golden_n100()
+    if family is not None:
+        plan = _corrupt(plan, inst, m, family)
+    expected = validate(plan, inst, m)
+    for convert in (_as_int64, _mixed):
+        assert validate(CirculationPlan(convert(plan.order), plan.maint_after), inst, m) == expected
+    if family == "EQ8/EQ9":
+        twice, never = [str(v) for v in expected.violations if v.tag == "EQ8/EQ9"]
+        assert twice.startswith("EQ8/EQ9 trains used more than once: [")
+        assert never.startswith("EQ8/EQ9 trains never used: [")
 
 
 def test_rotation_repr_and_immutability():

@@ -89,6 +89,34 @@ def test_syntax_error_reports_line():
         parse_timetable("maint_station C\ntrain 1 C 8h00 A 10:00 300.0 120\n")
 
 
+@pytest.mark.parametrize("line, where, message", [
+    ("train x1 C 08:00 A 10:00 300.0 120", (2, 7), "bad train id 'x1'"),
+    ("train 1 C 8h00 A 10:00 300.0 120", (2, 11), "expected HH:MM, got '8h00'"),
+    ("train 1 C 08:00:00 A 10:00 300.0 120", (2, 11), "expected HH:MM, got '08:00:00'"),
+    ("train 1 C 08:00 A +9:00 300.0 120", (2, 19), "expected HH:MM, got '+9:00'"),
+    ("train 1 C 08:00 A 24:00 300.0 120", (2, 19), "clock time out of range: '24:00'"),
+    ("train 1 C 08:00 A 10:60 300.0 120", (2, 19), "clock time out of range: '10:60'"),
+    ("train 1 C 08:00 A 10:00 3OO 120", (2, 25), "bad mileage or travel time"),
+    ("train 1 C 08:00 A 10:00 300.0 2h", (2, 25), "bad mileage or travel time"),
+    ("train 1 C 08:00 A 10:00 300.0", (2, 1), "train lines take 7 fields, got 6"),
+    ("  train 1 C 23:30 A 01:30 300.0 120", (2, 3),
+     "train 1: arrives at or before departure (spans midnight?)"),
+    ("   trian 1 C 08:00 A 10:00 300.0 120", (2, 4), "unknown directive 'trian'"),
+    ("param  speed 3", (2, 8), "unknown parameter 'speed'"),
+    ("param omega1  1,0", (2, 15), "bad numeric value '1,0'"),
+    (" param omega1", (2, 2), "param lines take exactly a name and a value"),
+    ("maint_station C D", (2, 1), "maint_station takes exactly one station id"),
+], ids=["train-id", "hhmm", "hhmm-3-parts", "hhmm-sign", "hour-range", "minute-range",
+        "mileage", "travel", "field-count", "train-field", "directive", "param-name",
+        "param-value", "param-arity", "maint-arity"])
+def test_syntax_error_line_and_column(line, where, message):
+    text = f"maint_station C\n{line}\ntrain 2 A 11:00 C 13:00 300.0 120\n"
+    with pytest.raises(TimetableError) as info:
+        parse_timetable(text)
+    assert (info.value.line, info.value.col) == where
+    assert str(info.value) == f"line {where[0]}, col {where[1]}: {message}"
+
+
 def test_midnight_spanning_train_rejected():
     with pytest.raises(TimetableError, match="midnight"):
         parse_timetable(

@@ -42,6 +42,7 @@ _SWARM_KEYS = {f.name for f in fields(SwarmConfig)}
 # (max_restarts, and maint_prob, which is deprecated but still range-checked)
 _KEYS = set(PARAM_KEYS) | _SWARM_KEYS | {"maint_prob", "max_restarts"}
 _INT_KEYS = {"n_particles", "k_max", "seed", "max_restarts", "t_connect"}
+_GEN_KEYS = set(PARAM_KEYS) | {"seed"}  # the keys gen reads: the model and its generator's seed
 
 
 class CliError(Exception):
@@ -101,8 +102,8 @@ def _parse_config_file(path: str) -> dict[str, float]:
 
 def _settings(args) -> dict[str, float]:
     """The --config file's values with the flags given on top, keyed by config
-    key (each flag's dest is its key; gen's --seed seeds the generator, and gen
-    reads only the model keys)."""
+    key (each flag's dest is its key; gen reads the model keys and the seed,
+    which seeds its generator, and refuses every other key)."""
     values = _parse_config_file(args.config) if args.config else {}
     for key, value in vars(args).items():
         if key in _KEYS and value is not None:
@@ -212,8 +213,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params = _model_params(ModelParams(), _settings(args))
-    instance = generate_instance(args.pairs, args.turnbacks, args.seed, params)
+    settings = _settings(args)
+    unused = sorted(settings.keys() - _GEN_KEYS)
+    if unused:
+        raise CliError(f"{args.config}: gen does not use key(s) {', '.join(unused)}")
+    params = _model_params(ModelParams(), settings)
+    instance = generate_instance(args.pairs, args.turnbacks, settings.get("seed", DEFAULT_SEED),
+                                 params)
     text = render_timetable(instance)
     if args.out:
         _write(args.out, text)
@@ -287,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic paired timetable")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--turnbacks", type=int, default=1)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     _add_model_flags(p)
     p.set_defaults(func=_cmd_gen)

@@ -92,16 +92,13 @@ class Rotation(NamedTuple):
     connection_time: int  # minutes waited between its trains
 
 
-def decode_rotations(
-    plan: CirculationPlan, instance: TimetableInstance, matrices: ConnectionMatrices
-) -> list[Rotation]:
-    """Cut the cycle at maintenance arcs and total up each piece.
+# the report tags of a plan that decode_rotations refuses
+_UNSOUND = frozenset({"SHAPE", "EQ8/EQ9", "CONN"})
 
-    Requires the plan to be structurally sound (integer ids forming a
-    permutation, 0/1 flags with the closing one set, all internal arcs
-    connectable); raises InvalidPlanError otherwise. Concatenating the
-    result reproduces `order`.
-    """
+
+def _check_structure(plan: CirculationPlan, n: int) -> None:
+    """Refuse a plan that is not structurally sound: integer ids forming a
+    permutation of 1..n, 0/1 flags with the closing one set."""
     order, flags = plan.order, plan.maint_after
     if not flags or flags[-1] != 1:
         raise InvalidPlanError("cycle does not close with a maintenance arc")
@@ -112,25 +109,56 @@ def decode_rotations(
     for kind in set(map(type, order)):
         if kind is bool or not issubclass(kind, Integral):
             raise InvalidPlanError(f"train ids must be integers, got a {kind.__name__}")
-    n = instance.n
     for tid in order:
         if not 1 <= tid <= n:
             raise InvalidPlanError(f"train id {tid!r} outside 1..{n}")
     if len(order) != n or len(set(order)) != n:
         raise InvalidPlanError(f"order does not run each of the {n} trains exactly once")
 
+
+def _no_connection(order, d: int) -> InvalidPlanError:
+    return InvalidPlanError(
+        f"trains {order[d - 1]} and {order[d]} cannot connect (position {d + 1})"
+    )
+
+
+def decode_rotations(
+    plan: CirculationPlan, instance: TimetableInstance, matrices: ConnectionMatrices
+) -> list[Rotation]:
+    """Cut the cycle at maintenance arcs and total up each piece.
+
+    Requires the plan to be structurally sound (integer ids forming a
+    permutation, 0/1 flags with the closing one set, all internal arcs
+    connectable); raises InvalidPlanError otherwise. Concatenating the
+    result reproduces `order`.
+    """
+    _check_structure(plan, instance.n)
+    order, flags = plan.order, plan.maint_after
     rotations: list[Rotation] = []
     start = waited = 0
-    for d, tid, wait, km, mins in _walk(order, flags, matrices):
+    for d, _, wait, km, mins in _walk(order, flags, matrices):
         if wait is None:
-            raise InvalidPlanError(
-                f"trains {order[d - 1]} and {tid} cannot connect (position {d + 1})"
-            )
+            raise _no_connection(order, d)
         waited += wait
         if flags[d]:
             rotations.append(Rotation(tuple(order[start : d + 1]), km, mins, waited))
             start, waited = d + 1, 0
     return rotations
+
+
+def _totals(order, flags, matrices: ConnectionMatrices):
+    """(minutes waited, each rotation's km, each rotation's minutes) of a plan
+    that validate finds structurally sound (no SHAPE, EQ8/EQ9 or CONN), from
+    the walk alone: the rotation totals decode_rotations would return."""
+    waited = 0
+    km_ends: list[float] = []
+    min_ends: list[int] = []
+    for d, _, wait, km, mins in _walk(order, flags, matrices):
+        waited += wait
+        if flags[d]:
+            km_ends.append(km)
+            min_ends.append(mins)
+    return waited, km_ends, min_ends
 
 
 @dataclass(frozen=True)
@@ -167,6 +195,20 @@ def _train_id(t, n: int) -> int | None:
     return i if 1 <= i <= n else None
 
 
+def _id_findings(order, n: int):
+    """(ids as plain ints, the ids outside 1..n, the repeated and the missing
+    trains) of any order, one id at a time; an id outside 1..n is None."""
+    ids = [_train_id(t, n) for t in order]
+    bad_ids = [t for t, i in zip(order, ids) if i is None]
+    counts: dict[int, int] = {}
+    for t in ids:
+        if t is not None:
+            counts[t] = counts.get(t, 0) + 1
+    dups = sorted(t for t, c in counts.items() if c > 1)
+    missing = sorted(set(range(1, n + 1)) - set(counts))
+    return ids, bad_ids, dups, missing
+
+
 def validate(
     plan: CirculationPlan, instance: TimetableInstance, matrices: ConnectionMatrices
 ) -> ValidationReport:
@@ -182,47 +224,46 @@ def validate(
     """
     v: list[Violation] = []
     n = instance.n
+    order = plan.order
 
-    if len(plan.order) != n:
-        v.append(Violation("SHAPE", f"plan covers {len(plan.order)} positions, instance has {n} trains"))
-    if len(plan.maint_after) != len(plan.order):
+    if len(order) != n:
+        v.append(Violation("SHAPE", f"plan covers {len(order)} positions, instance has {n} trains"))
+    if len(plan.maint_after) != len(order):
         v.append(Violation("SHAPE", "order and maint_after lengths differ"))
         return ValidationReport(tuple(v))
     for d, flag in enumerate(plan.maint_after):
         if flag not in (0, 1):
             v.append(Violation("SHAPE", f"maintenance flag {flag!r} is not 0/1", d + 1))
-    ids = [_train_id(t, n) for t in plan.order]
-    bad_ids = [t for t, i in zip(plan.order, ids) if i is None]
+    if (set(map(type, order)) == {int} and 1 <= min(order) and max(order) <= n
+            and len(set(order)) == len(order)):
+        # plain ids in 1..n with no repeat: nothing for SHAPE or EQ8/EQ9 to find
+        ids, bad_ids, dups, missing = order, [], [], []
+    else:
+        ids, bad_ids, dups, missing = _id_findings(order, n)
     if bad_ids:
         v.append(Violation("SHAPE", f"train ids outside 1..{n}: {sorted(set(bad_ids))}"))
     if plan.maint_after and plan.maint_after[-1] != 1:
         v.append(Violation("SHAPE", "last position must be followed by a maintenance arc"))
-
-    known = [i for i in ids if i is not None]
-    counts: dict[int, int] = {}
-    for t in known:
-        counts[t] = counts.get(t, 0) + 1
-    dups = sorted(t for t, c in counts.items() if c > 1)
-    missing = sorted(set(range(1, n + 1)) - set(counts))
     if dups:
         v.append(Violation("EQ8/EQ9", f"trains used more than once: {dups}"))
-    if missing and len(plan.order) == n:
+    if missing and len(order) == n:
         v.append(Violation("EQ8/EQ9", f"trains never used: {missing}"))
 
-    if len(plan.order) != n or bad_ids:
+    if len(order) != n or bad_ids:
         return ValidationReport(tuple(v))
 
     max_l, max_t = instance.params.max_mileage, instance.params.max_time
-    for d, tid, wait, km, mins in _walk(ids, plan.maint_after, matrices):
+    flags, at_depot, conn_rows = plan.maint_after, matrices.tables.arr_at_depot, matrices.conn_rows
+    for d, tid, wait, km, mins in _walk(ids, flags, matrices):
         if wait is None:
             v.append(Violation("CONN", f"trains {ids[d - 1]} and {tid} cannot connect", d + 1))
         if km > max_l:
             v.append(Violation("EQ11", f"{km:.1f} km since maintenance exceeds {max_l:.1f}", d + 1))
         if mins > max_t:
             v.append(Violation("EQ12", f"{mins} min since maintenance exceeds {max_t:.0f}", d + 1))
-        if plan.maint_after[d]:
+        if flags[d]:
             nxt = ids[(d + 1) % n]
-            if not matrices.tables.arr_at_depot[tid] or matrices.conn_rows[tid - 1][nxt - 1] is None:
+            if not at_depot[tid] or conn_rows[tid - 1][nxt - 1] is None:
                 v.append(
                     Violation("EQ10", f"maintenance between {tid} and {nxt} is not at the depot", d + 1)
                 )
@@ -244,7 +285,8 @@ def objective_value(
         raise InvalidPlanError(
             f"plan violates {len(report.violations)} constraint(s): {sorted(report.tags())}"
         )
-    return fitness_from_parts(decode_rotations(plan, instance, matrices), instance.params)
+    waited, km_ends, _ = _totals(plan.order, plan.maint_after, matrices)
+    return fitness_from_totals(waited, km_ends, instance.params)[0]
 
 
 def fitness_from_totals(waited, rotation_km, params) -> tuple[float, bool]:
@@ -302,18 +344,24 @@ class PlanSummary:
 def plan_summary(
     plan: CirculationPlan, instance: TimetableInstance, matrices: ConnectionMatrices
 ) -> PlanSummary:
-    rotations = decode_rotations(plan, instance, matrices)
-    fitness = fitness_from_parts(rotations, instance.params)
+    """Rotation counts and extremes, fitness, and the objective when the plan
+    passes validate. Raises InvalidPlanError, as decode_rotations does, on a
+    plan that is not structurally sound."""
+    report = validate(plan, instance, matrices)
+    if report.tags() & _UNSOUND:
+        decode_rotations(plan, instance, matrices)  # raises InvalidPlanError naming the fault
+    waited, km_ends, min_ends = _totals(plan.order, plan.maint_after, matrices)
+    fitness = fitness_from_totals(waited, km_ends, instance.params)[0]
     return PlanSummary(
-        n_rotations=len(rotations),
-        total_connection_time=sum(r.connection_time for r in rotations),
-        min_rotation_mileage=min(r.total_mileage for r in rotations),
-        max_rotation_mileage=max(r.total_mileage for r in rotations),
-        min_rotation_time=min(r.total_time for r in rotations),
-        max_rotation_time=max(r.total_time for r in rotations),
+        n_rotations=len(km_ends),
+        total_connection_time=waited,
+        min_rotation_mileage=min(km_ends),
+        max_rotation_mileage=max(km_ends),
+        min_rotation_time=min(min_ends),
+        max_rotation_time=max(min_ends),
         fitness=fitness,
         # on a valid plan the fitness is the objective (objective_value)
-        objective=fitness if validate(plan, instance, matrices).ok else None,
+        objective=fitness if report.ok else None,
     )
 
 
@@ -322,18 +370,23 @@ def render_plan(
 ) -> str:
     """Plan file form: one line per position with running totals, then the
     rotation breakdown. Deterministic formatting (km to 0.1, minutes whole).
+    Raises InvalidPlanError where decode_rotations does.
     """
-    rotations = decode_rotations(plan, instance, matrices)
+    _check_structure(plan, instance.n)
+    order, flags = plan.order, plan.maint_after
     lines = ["cycle"]
-    for d, tid, _, km, mins in _walk(plan.order, plan.maint_after, matrices):
-        lines.append(
-            f"pos {d + 1} train {tid} maint {plan.maint_after[d]} "
-            f"accum_km {km:.1f} accum_min {mins}"
-        )
+    rotations = []
+    start = 0
+    for d, tid, wait, km, mins in _walk(order, flags, matrices):
+        if wait is None:
+            raise _no_connection(order, d)
+        lines.append(f"pos {d + 1} train {tid} maint {flags[d]} accum_km {km:.1f} accum_min {mins}")
+        if flags[d]:
+            ids = ",".join(map(str, order[start : d + 1]))
+            rotations.append(f"rotation {len(rotations) + 1}: {ids} km {km:.1f} min {mins}")
+            start = d + 1
     lines.append(f"rotations {len(rotations)}")
-    for r, rot in enumerate(rotations, start=1):
-        ids = ",".join(str(t) for t in rot.trains)
-        lines.append(f"rotation {r}: {ids} km {rot.total_mileage:.1f} min {rot.total_time}")
+    lines += rotations
     return "\n".join(lines) + "\n"
 
 
@@ -344,17 +397,16 @@ def parse_plan(text: str) -> CirculationPlan:
     entries: dict[int, tuple[int, int]] = {}
     saw_cycle = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if tokens[0] == "cycle":
-            saw_cycle = True
+        kind = tokens[0]
+        if kind != "pos":
+            if kind == "cycle":
+                saw_cycle = True
+            elif kind not in ("rotations", "rotation"):
+                raise PlanFormatError(f"unknown directive {kind!r}", lineno)
             continue
-        if tokens[0] in ("rotations", "rotation"):
-            continue
-        if tokens[0] != "pos":
-            raise PlanFormatError(f"unknown directive {tokens[0]!r}", lineno)
         if len(tokens) < 6 or tokens[2] != "train" or tokens[4] != "maint":
             raise PlanFormatError("expected: pos <d> train <id> maint <0|1> ...", lineno)
         try:
@@ -371,8 +423,8 @@ def parse_plan(text: str) -> CirculationPlan:
         raise PlanFormatError("missing 'cycle' header")
     if not entries:
         raise PlanFormatError("no positions")
-    if sorted(entries) != list(range(1, len(entries) + 1)):
-        raise PlanFormatError(f"positions must form 1..{len(entries)}")
-    order = tuple(entries[d][0] for d in sorted(entries))
-    maint = tuple(entries[d][1] for d in sorted(entries))
+    positions = sorted(entries)
+    if positions[0] != 1 or positions[-1] != len(positions):  # distinct, so exactly 1..len
+        raise PlanFormatError(f"positions must form 1..{len(positions)}")
+    order, maint = zip(*map(entries.__getitem__, positions))
     return CirculationPlan(order=order, maint_after=maint)

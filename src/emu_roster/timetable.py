@@ -227,14 +227,20 @@ def check_instance(trains, params) -> None:
             )
 
 
-def _parse_hhmm(token: str, lineno: int, col: int) -> int:
-    parts = token.split(":")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
-        raise TimetableError(f"expected HH:MM, got {token!r}", lineno, col)
-    h, m = int(parts[0]), int(parts[1])
-    if h > 23 or m > 59:
-        raise TimetableError(f"clock time out of range: {token!r}", lineno, col)
-    return 60 * h + m
+def _col(line: str, token: str) -> int:
+    """The column of token's first occurrence in line: worked out only for an
+    error, since a line that parses needs none."""
+    return line.index(token) + 1
+
+
+def _parse_hhmm(token: str, lineno: int, line: str) -> int:
+    h, colon, m = token.partition(":")
+    if not (colon and h.isdigit() and m.isdigit()):
+        raise TimetableError(f"expected HH:MM, got {token!r}", lineno, _col(line, token))
+    hours, minutes = int(h), int(m)
+    if hours > 23 or minutes > 59:
+        raise TimetableError(f"clock time out of range: {token!r}", lineno, _col(line, token))
+    return 60 * hours + minutes
 
 
 def _fmt_hhmm(minutes: int) -> str:
@@ -261,46 +267,50 @@ def parse_timetable(text: str) -> TimetableInstance:
         tokens = line.split()
         if not tokens:
             continue
-        cols = [line.index(tok) + 1 for tok in tokens]  # approximate, first occurrence
         kind = tokens[0]
         if kind == "param":
             if len(tokens) != 3:
-                raise TimetableError("param lines take exactly a name and a value", lineno, cols[0])
+                raise TimetableError("param lines take exactly a name and a value", lineno,
+                                     _col(line, kind))
             name = tokens[1]
             if name not in PARAM_KEYS:
-                raise TimetableError(f"unknown parameter {name!r}", lineno, cols[1])
+                raise TimetableError(f"unknown parameter {name!r}", lineno, _col(line, name))
             try:
                 params_seen[name] = float(tokens[2])
             except ValueError:
-                raise TimetableError(f"bad numeric value {tokens[2]!r}", lineno, cols[2]) from None
+                raise TimetableError(f"bad numeric value {tokens[2]!r}", lineno,
+                                     _col(line, tokens[2])) from None
         elif kind == "maint_station":
             if len(tokens) != 2:
-                raise TimetableError("maint_station takes exactly one station id", lineno, cols[0])
+                raise TimetableError("maint_station takes exactly one station id", lineno,
+                                     _col(line, kind))
             maint.append(tokens[1])
         elif kind == "train":
             if len(tokens) != 8:
                 raise TimetableError(
-                    f"train lines take 7 fields, got {len(tokens) - 1}", lineno, cols[0]
+                    f"train lines take 7 fields, got {len(tokens) - 1}", lineno, _col(line, kind)
                 )
             try:
                 tid = int(tokens[1])
             except ValueError:
-                raise TimetableError(f"bad train id {tokens[1]!r}", lineno, cols[1]) from None
-            dep_t = _parse_hhmm(tokens[3], lineno, cols[3])
-            arr_t = _parse_hhmm(tokens[5], lineno, cols[5])
+                raise TimetableError(f"bad train id {tokens[1]!r}", lineno,
+                                     _col(line, tokens[1])) from None
+            dep_t = _parse_hhmm(tokens[3], lineno, line)
+            arr_t = _parse_hhmm(tokens[5], lineno, line)
             try:
                 mileage = float(tokens[6])
                 travel = int(tokens[7])
             except ValueError:
-                raise TimetableError("bad mileage or travel time", lineno, cols[6]) from None
+                raise TimetableError("bad mileage or travel time", lineno,
+                                     _col(line, tokens[6])) from None
             try:
                 trains.append(
                     Train(tid, tokens[2], dep_t, tokens[4], arr_t, mileage, travel)
                 )
             except TimetableError as exc:
-                raise TimetableError(str(exc), lineno, cols[0]) from None
+                raise TimetableError(str(exc), lineno, _col(line, kind)) from None
         else:
-            raise TimetableError(f"unknown directive {kind!r}", lineno, cols[0])
+            raise TimetableError(f"unknown directive {kind!r}", lineno, _col(line, kind))
 
     if not trains:
         raise TimetableError("no trains")
@@ -308,10 +318,9 @@ def parse_timetable(text: str) -> TimetableInstance:
         raise TimetableError(f"exactly one maint_station line required, got {len(maint)}")
 
     kwargs = {param_field(k): v for k, v in params_seen.items()}
-    if "t_connect" in kwargs:
-        if not kwargs["t_connect"].is_integer():  # also refuses inf and NaN
-            raise TimetableError("t_connect must be an integer number of minutes")
-        kwargs["t_connect"] = int(kwargs["t_connect"])
+    t_connect = kwargs.get("t_connect")
+    if t_connect is not None and t_connect.is_integer():  # ModelParams words every refusal
+        kwargs["t_connect"] = int(t_connect)
     params = ModelParams(**kwargs)
 
     trains.sort(key=lambda t: t.id)

@@ -481,6 +481,28 @@ def test_model_settings_precedence_in_gen(tmp_path, capsys):
     assert param_lines(*argv) == {**in_file, **flags}
 
 
+def test_gen_reads_the_seed_from_config(tmp_path, capsys):
+    cfgf = tmp_path / "seed.cfg"
+    cfgf.write_text("seed=5\n")
+    _, by_flag, _ = run(capsys, "gen", "--pairs", "3", "--seed", "5")
+    _, by_default, _ = run(capsys, "gen", "--pairs", "3")
+    assert by_flag != by_default
+    assert run(capsys, "gen", "--pairs", "3", "--config", str(cfgf)) == (0, by_flag, "")
+    # the flag wins over the file
+    assert run(capsys, "gen", "--pairs", "3", "--seed", "1", "--config", str(cfgf)) == (
+        0, by_default, "")
+
+
+@pytest.mark.parametrize("line", ["k_max=5", "n_particles=4", "w_max=0.8", "max_restarts=3",
+                                  "maint_prob=0.5"])
+def test_gen_refuses_a_key_it_does_not_use(tmp_path, capsys, line):
+    cfgf = tmp_path / "unused.cfg"
+    cfgf.write_text(f"seed=5\n{line}\n")
+    code, out, err = run(capsys, "gen", "--pairs", "3", "--config", str(cfgf))
+    assert (code, out) == (1, "")
+    assert err == f"error: {cfgf}: gen does not use key(s) {line.split('=')[0]}\n"
+
+
 # (config key, value in the file, its flag or None, value by the flag)
 SWARM_SETTINGS = [
     ("n_particles", 3, "--particles", 5),

@@ -185,7 +185,7 @@ def test_non_finite_parameters_refused(field, value):
 def test_non_finite_t_connect_line_refused(fig1_text, value):
     text = fig1_text.replace("param t_connect 20\n", f"param t_connect {value}\n")
     assert text != fig1_text
-    with pytest.raises(TimetableError, match="t_connect must be an integer"):
+    with pytest.raises(TimetableError, match=f"^t_connect must be finite, got {value}$"):
         parse_timetable(text)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 from .connection import ConnectionMatrices
@@ -92,56 +91,29 @@ class Rotation(NamedTuple):
     connection_time: int  # minutes waited between its trains
 
 
-# the report tags of a plan that decode_rotations refuses
-_UNSOUND = frozenset({"SHAPE", "EQ8/EQ9", "CONN"})
-
-
-def _check_structure(plan: CirculationPlan, n: int) -> None:
-    """Refuse a plan that is not structurally sound: integer ids forming a
-    permutation of 1..n, 0/1 flags with the closing one set."""
-    order, flags = plan.order, plan.maint_after
-    if not flags or flags[-1] != 1:
-        raise InvalidPlanError("cycle does not close with a maintenance arc")
-    if len(order) != len(flags):
-        raise InvalidPlanError("order and maint_after lengths differ")
-    if not set(flags) <= {0, 1}:
-        raise InvalidPlanError(f"maintenance flags must be 0 or 1, got {set(flags) - {0, 1}}")
-    for kind in set(map(type, order)):
-        if kind is bool or not issubclass(kind, Integral):
-            raise InvalidPlanError(f"train ids must be integers, got a {kind.__name__}")
-    for tid in order:
-        if not 1 <= tid <= n:
-            raise InvalidPlanError(f"train id {tid!r} outside 1..{n}")
-    if len(order) != n or len(set(order)) != n:
-        raise InvalidPlanError(f"order does not run each of the {n} trains exactly once")
-
-
-def _no_connection(order, d: int) -> InvalidPlanError:
-    return InvalidPlanError(
-        f"trains {order[d - 1]} and {order[d]} cannot connect (position {d + 1})"
-    )
-
-
 def decode_rotations(
     plan: CirculationPlan, instance: TimetableInstance, matrices: ConnectionMatrices
 ) -> list[Rotation]:
     """Cut the cycle at maintenance arcs and total up each piece.
 
-    Requires the plan to be structurally sound (integer ids forming a
-    permutation, 0/1 flags with the closing one set, all internal arcs
-    connectable); raises InvalidPlanError otherwise. Concatenating the
-    result reproduces `order`.
+    Requires the plan to be structurally sound, as validate judges it: no
+    SHAPE or EQ8/EQ9 finding and every ordinary arc connectable. Otherwise
+    raises InvalidPlanError naming every SHAPE and EQ8/EQ9 finding, or the
+    first arc that cannot connect. Concatenating the result reproduces
+    `order`.
     """
-    _check_structure(plan, instance.n)
-    order, flags = plan.order, plan.maint_after
+    findings, ids = _structure(plan, instance.n)
+    if findings:
+        raise _refusal(findings)
+    flags = plan.maint_after
     rotations: list[Rotation] = []
     start = waited = 0
-    for d, _, wait, km, mins in _walk(order, flags, matrices):
+    for d, _, wait, km, mins in _walk(ids, flags, matrices):
         if wait is None:
-            raise _no_connection(order, d)
+            raise _refusal([_no_connection(ids, d)])
         waited += wait
         if flags[d]:
-            rotations.append(Rotation(tuple(order[start : d + 1]), km, mins, waited))
+            rotations.append(Rotation(tuple(ids[start : d + 1]), km, mins, waited))
             start, waited = d + 1, 0
     return rotations
 
@@ -183,30 +155,72 @@ class ValidationReport:
         return {v.tag for v in self.violations}
 
 
-def _train_id(t, n: int) -> int | None:
-    """t as a plain int when it is an integral id in 1..n (any integer type
-    with __index__, bools excluded), else None."""
-    if isinstance(t, bool):
-        return None
-    try:
-        i = operator.index(t)
-    except TypeError:
-        return None
-    return i if 1 <= i <= n else None
+def _structure(plan: CirculationPlan, n: int):
+    """The one place the structural rule is written: a plan runs each of the
+    n trains exactly once (EQ8/EQ9) in one closed cycle, with integer ids in
+    1..n, 0/1 flags and the closing flag set (SHAPE).
+
+    Returns (findings, ids): the SHAPE and EQ8/EQ9 violations in report
+    order, and the ids as plain ints, or None when the plan has no walk (its
+    length is not n, its lengths differ or an id lies outside 1..n).
+    """
+    order, flags = plan.order, plan.maint_after
+    v: list[Violation] = []
+    if len(order) != n:
+        v.append(Violation("SHAPE", f"plan covers {len(order)} positions, instance has {n} trains"))
+    if len(flags) != len(order):
+        v.append(Violation("SHAPE", "order and maint_after lengths differ"))
+        return v, None
+    if operator.countOf(flags, 0) + operator.countOf(flags, 1) != len(flags):  # hashes no flag
+        for d, flag in enumerate(flags):
+            if flag not in (0, 1):
+                v.append(Violation("SHAPE", f"maintenance flag {flag!r} is not 0/1", d + 1))
+    bad, dups, missing = [], [], []
+    if (set(map(type, order)) == {int} and 1 <= min(order) and max(order) <= n
+            and len(set(order)) == len(order)):
+        ids = order  # plain ids in 1..n with no repeat: nothing for SHAPE or EQ8/EQ9 to find
+    else:
+        ids, counts = [], {}
+        for t in order:  # any integer type with __index__, bools excluded
+            try:
+                i = None if isinstance(t, bool) else operator.index(t)
+            except TypeError:
+                i = None
+            if i is not None and 1 <= i <= n:
+                ids.append(i)
+                counts[i] = counts.get(i, 0) + 1
+            else:
+                bad.append(t)
+        dups = sorted(t for t, c in counts.items() if c > 1)
+        missing = sorted(set(range(1, n + 1)) - counts.keys())
+    if bad:
+        try:
+            bad = sorted(set(bad))
+        except TypeError:  # unhashable or unordered ids are listed in plan order
+            pass
+        v.append(Violation("SHAPE", f"train ids outside 1..{n}: {bad}"))
+    if flags and flags[-1] != 1:
+        v.append(Violation("SHAPE", "last position must be followed by a maintenance arc"))
+    if dups:
+        v.append(Violation("EQ8/EQ9", f"trains used more than once: {dups}"))
+    if missing and len(order) == n:
+        v.append(Violation("EQ8/EQ9", f"trains never used: {missing}"))
+    return v, (None if len(order) != n or bad else ids)
 
 
-def _id_findings(order, n: int):
-    """(ids as plain ints, the ids outside 1..n, the repeated and the missing
-    trains) of any order, one id at a time; an id outside 1..n is None."""
-    ids = [_train_id(t, n) for t in order]
-    bad_ids = [t for t, i in zip(order, ids) if i is None]
-    counts: dict[int, int] = {}
-    for t in ids:
-        if t is not None:
-            counts[t] = counts.get(t, 0) + 1
-    dups = sorted(t for t, c in counts.items() if c > 1)
-    missing = sorted(set(range(1, n + 1)) - set(counts))
-    return ids, bad_ids, dups, missing
+def _no_connection(ids, d: int) -> Violation:
+    """The CONN finding of the ordinary arc into position d + 1."""
+    return Violation("CONN", f"trains {ids[d - 1]} and {ids[d]} cannot connect", d + 1)
+
+
+def _refusal(findings) -> InvalidPlanError:
+    """The error of a reader that needs a structurally sound plan, naming
+    each finding with its position."""
+    named = "; ".join(str(f) if f.position is None else f"{f} (position {f.position})"
+                      for f in findings)
+    return InvalidPlanError(
+        f"plan does not run each train exactly once in one connected cycle: {named}"
+    )
 
 
 def validate(
@@ -222,41 +236,16 @@ def validate(
     successor graph is one n-cycle. Accumulation past a CONN violation treats
     the unknown waiting time as zero so later positions still get checked.
     """
-    v: list[Violation] = []
     n = instance.n
-    order = plan.order
-
-    if len(order) != n:
-        v.append(Violation("SHAPE", f"plan covers {len(order)} positions, instance has {n} trains"))
-    if len(plan.maint_after) != len(order):
-        v.append(Violation("SHAPE", "order and maint_after lengths differ"))
-        return ValidationReport(tuple(v))
-    for d, flag in enumerate(plan.maint_after):
-        if flag not in (0, 1):
-            v.append(Violation("SHAPE", f"maintenance flag {flag!r} is not 0/1", d + 1))
-    if (set(map(type, order)) == {int} and 1 <= min(order) and max(order) <= n
-            and len(set(order)) == len(order)):
-        # plain ids in 1..n with no repeat: nothing for SHAPE or EQ8/EQ9 to find
-        ids, bad_ids, dups, missing = order, [], [], []
-    else:
-        ids, bad_ids, dups, missing = _id_findings(order, n)
-    if bad_ids:
-        v.append(Violation("SHAPE", f"train ids outside 1..{n}: {sorted(set(bad_ids))}"))
-    if plan.maint_after and plan.maint_after[-1] != 1:
-        v.append(Violation("SHAPE", "last position must be followed by a maintenance arc"))
-    if dups:
-        v.append(Violation("EQ8/EQ9", f"trains used more than once: {dups}"))
-    if missing and len(order) == n:
-        v.append(Violation("EQ8/EQ9", f"trains never used: {missing}"))
-
-    if len(order) != n or bad_ids:
+    v, ids = _structure(plan, n)
+    if ids is None:
         return ValidationReport(tuple(v))
 
     max_l, max_t = instance.params.max_mileage, instance.params.max_time
     flags, at_depot, conn_rows = plan.maint_after, matrices.tables.arr_at_depot, matrices.conn_rows
     for d, tid, wait, km, mins in _walk(ids, flags, matrices):
         if wait is None:
-            v.append(Violation("CONN", f"trains {ids[d - 1]} and {tid} cannot connect", d + 1))
+            v.append(_no_connection(ids, d))
         if km > max_l:
             v.append(Violation("EQ11", f"{km:.1f} km since maintenance exceeds {max_l:.1f}", d + 1))
         if mins > max_t:
@@ -345,11 +334,12 @@ def plan_summary(
     plan: CirculationPlan, instance: TimetableInstance, matrices: ConnectionMatrices
 ) -> PlanSummary:
     """Rotation counts and extremes, fitness, and the objective when the plan
-    passes validate. Raises InvalidPlanError, as decode_rotations does, on a
-    plan that is not structurally sound."""
+    passes validate. Raises InvalidPlanError naming every SHAPE, EQ8/EQ9 and
+    CONN finding of validate's report, the ones decode_rotations refuses."""
     report = validate(plan, instance, matrices)
-    if report.tags() & _UNSOUND:
-        decode_rotations(plan, instance, matrices)  # raises InvalidPlanError naming the fault
+    unsound = [f for f in report.violations if f.tag in ("SHAPE", "EQ8/EQ9", "CONN")]
+    if unsound:
+        raise _refusal(unsound)
     waited, km_ends, min_ends = _totals(plan.order, plan.maint_after, matrices)
     fitness = fitness_from_totals(waited, km_ends, instance.params)[0]
     return PlanSummary(
@@ -372,18 +362,20 @@ def render_plan(
     rotation breakdown. Deterministic formatting (km to 0.1, minutes whole).
     Raises InvalidPlanError where decode_rotations does.
     """
-    _check_structure(plan, instance.n)
-    order, flags = plan.order, plan.maint_after
+    findings, ids = _structure(plan, instance.n)
+    if findings:
+        raise _refusal(findings)
+    flags = plan.maint_after
     lines = ["cycle"]
     rotations = []
     start = 0
-    for d, tid, wait, km, mins in _walk(order, flags, matrices):
+    for d, tid, wait, km, mins in _walk(ids, flags, matrices):
         if wait is None:
-            raise _no_connection(order, d)
+            raise _refusal([_no_connection(ids, d)])
         lines.append(f"pos {d + 1} train {tid} maint {flags[d]} accum_km {km:.1f} accum_min {mins}")
         if flags[d]:
-            ids = ",".join(map(str, order[start : d + 1]))
-            rotations.append(f"rotation {len(rotations) + 1}: {ids} km {km:.1f} min {mins}")
+            trains = ",".join(map(str, ids[start : d + 1]))
+            rotations.append(f"rotation {len(rotations) + 1}: {trains} km {km:.1f} min {mins}")
             start = d + 1
     lines.append(f"rotations {len(rotations)}")
     lines += rotations

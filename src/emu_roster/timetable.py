@@ -235,7 +235,7 @@ def _col(line: str, token: str) -> int:
 
 def _parse_hhmm(token: str, lineno: int, line: str) -> int:
     h, colon, m = token.partition(":")
-    if not (colon and h.isdigit() and m.isdigit()):
+    if not (colon and h.isdigit() and m.isdigit() and token.isascii()):  # ASCII digits only
         raise TimetableError(f"expected HH:MM, got {token!r}", lineno, _col(line, token))
     hours, minutes = int(h), int(m)
     if hours > 23 or minutes > 59:

@@ -123,6 +123,18 @@ def test_solve_non_finite_mileage_is_input_error(tmp_path, capsys, value):
     assert not plan_path.exists()
 
 
+def test_solve_non_ascii_clock_digit_is_input_error(tmp_path, capsys):
+    tt = tmp_path / "sup.txt"
+    text = open(FIG1).read()
+    assert "train 2 A 09:40 B 11:20 280.0 100\n" in text
+    tt.write_text(text.replace("train 2 A 09:40 ", "train 2 A 0\u2079:40 "), encoding="utf-8")
+    plan_path = tmp_path / "p.txt"
+    code, out, err = run(capsys, "solve", str(tt), "--out", str(plan_path))
+    assert (code, out) == (1, "")
+    assert err == "error: line 12, col 11: expected HH:MM, got '0\u2079:40'\n"
+    assert not plan_path.exists()
+
+
 def test_solve_fig1_reaches_the_optimum(tmp_path, capsys):
     # 858.2 is fig1's exact optimum (brute_force with n_limit=12)
     code, out, _ = run(capsys, "solve", FIG1, "--out", str(tmp_path / "p.txt"))

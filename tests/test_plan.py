@@ -417,12 +417,19 @@ def _flag_5_is_2(plan):
     return CirculationPlan(plan.order, tuple(flags))
 
 
+def _flag_4_is_a_list(plan):
+    flags = list(plan.maint_after)
+    flags[3] = [1]
+    return CirculationPlan(plan.order, tuple(flags))
+
+
 @pytest.mark.parametrize("corrupt", [
     _flag_5_is_2,
     lambda plan: CirculationPlan(tuple(True if t == 1 else t for t in plan.order),
                                  plan.maint_after),
     lambda plan: CirculationPlan(tuple(map(float, plan.order)), plan.maint_after),
-], ids=["flag-2", "bool-id", "float-ids"])
+    _flag_4_is_a_list,
+], ids=["flag-2", "bool-id", "float-ids", "list-flag"])
 def test_rotation_and_fitness_helpers_refuse_what_validate_calls_shape(
         fig1, fig1_matrices, corrupt):
     plan = corrupt(construct(fig1, fig1_matrices, np.random.default_rng(0)))
@@ -430,6 +437,28 @@ def test_rotation_and_fitness_helpers_refuse_what_validate_calls_shape(
     for helper in (decode_rotations, fitness_value, plan_summary, render_plan):
         with pytest.raises(InvalidPlanError):
             helper(plan, fig1, fig1_matrices)
+
+
+def test_a_list_flag_is_named_where_validate_reports_it(fig1, fig1_matrices):
+    plan = _flag_4_is_a_list(construct(fig1, fig1_matrices, np.random.default_rng(0)))
+    report = validate(plan, fig1, fig1_matrices)
+    shape = [v for v in report.violations if v.tag == "SHAPE"]
+    assert [(v.position, v.message) for v in shape] == [(4, "maintenance flag [1] is not 0/1")]
+    for helper in (decode_rotations, fitness_value, plan_summary, render_plan):
+        with pytest.raises(InvalidPlanError) as info:
+            helper(plan, fig1, fig1_matrices)
+        assert f"{shape[0]} (position 4)" in str(info.value)
+
+
+@pytest.mark.parametrize("bad", [[1], "a"], ids=["unhashable", "unordered"])
+def test_validate_stays_total_on_ids_it_cannot_sort(fig1, fig1_matrices, bad):
+    plan = CirculationPlan(order=(bad, 99) + tuple(range(3, 13)), maint_after=(0,) * 11 + (1,))
+    assert [str(v) for v in validate(plan, fig1, fig1_matrices).violations] == [
+        f"SHAPE train ids outside 1..12: {[bad, 99]}",
+        "EQ8/EQ9 trains never used: [1, 2]",
+    ]
+    with pytest.raises(InvalidPlanError, match="99"):
+        decode_rotations(plan, fig1, fig1_matrices)
 
 
 # --- golden validator text and summary -----------------------------------------
@@ -531,6 +560,24 @@ def test_golden_read_side():
     assert {k: hashlib.sha256(t.encode()).hexdigest() for k, t in texts.items()} == GOLDEN_READ_SIDE
     assert parse_plan(texts["render_plan clean"]) == plan
     assert parse_plan(texts["render_plan EQ11"]) == overrun
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_VIOLATIONS))
+def test_refusal_and_report_agree(family):
+    # the readers that need a sound plan refuse exactly what validate calls
+    # SHAPE, EQ8/EQ9 or CONN, naming its first finding of that family
+    inst, m, plan = _golden_n100()
+    broken = _corrupt(plan, inst, m, family)
+    if family not in ("SHAPE", "EQ8/EQ9", "CONN"):
+        decode_rotations(broken, inst, m)
+        render_plan(broken, inst, m)
+        assert plan_summary(broken, inst, m).objective is None
+        return
+    first = next(v for v in validate(broken, inst, m).violations if v.tag == family)
+    for reader in (decode_rotations, render_plan, plan_summary):
+        with pytest.raises(InvalidPlanError) as info:
+            reader(broken, inst, m)
+        assert str(first) in str(info.value)
 
 
 def _as_int64(ids):

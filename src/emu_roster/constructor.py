@@ -79,7 +79,7 @@ def _drop_paying_cuts(order: list[int], maint_after: list[int], waited: int,
     the pieces whose cut to the next one pays. A cut that does not pay stays,
     so each run of pieces joined by paying cuts is a shortest path of its
     own: from each piece a forward scan joins the next ones until a window
-    breaks. Ties keep the cut. Mileage is summed as plan._walk sums it.
+    breaks. Ties keep the cut. Mileage is summed as validate's walk sums it.
     """
     conn_rows = matrices.conn_rows
     mileage, travel = matrices.tables.mileage, matrices.tables.travel
@@ -135,7 +135,7 @@ def build_cycle(
 
     Returns (plan, waited, rotation_km): the minutes waited on the plan's
     ordinary arcs and the total mileage of each rotation in cycle order, the
-    totals fitness_from_totals scores, summed as plan._walk sums them. The
+    totals fitness_from_totals scores, summed as validate's walk sums them. The
     chain cuts at every depot arrival; _drop_paying_cuts then keeps the best
     set of those cuts for the order, drawing nothing. An attempt draws at
     most one number per position, none for a taken proposal.

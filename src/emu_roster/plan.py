@@ -10,7 +10,7 @@ starts a fresh rotation.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .connection import ConnectionMatrices
@@ -51,32 +51,6 @@ class CirculationPlan:
         return sum(self.maint_after)
 
 
-def _walk(order, maint_after, matrices: ConnectionMatrices):
-    """Running totals along the loop, the one place they are computed.
-
-    Yields (index, train id, wait before it, km, min) per position, where km
-    and min are the mileage and time racked up since the last maintenance.
-    Position 1 and every position after a maintenance arc start at the
-    train's own totals with a wait of 0; an ordinary arc adds its waiting
-    minutes and the train's travel time. The wait is None on an arc that
-    cannot connect, and the totals then carry on as if it were 0.
-    """
-    conn_rows = matrices.conn_rows
-    mileage, travel = matrices.tables.mileage, matrices.tables.travel
-    km = mins = prev = 0
-    fresh = True  # position 1, or the arc into this position is a maintenance arc
-    for d, tid in enumerate(order):
-        if fresh:
-            wait = 0
-            km, mins = mileage[tid], travel[tid]
-        else:
-            wait = conn_rows[prev - 1][tid - 1]
-            km += mileage[tid]
-            mins += (wait or 0) + travel[tid]
-        yield d, tid, wait, km, mins
-        prev, fresh = tid, maint_after[d]
-
-
 class Rotation(NamedTuple):
     """One EMU circulation: the trains served between two maintenances.
 
@@ -91,46 +65,23 @@ class Rotation(NamedTuple):
     connection_time: int  # minutes waited between its trains
 
 
-def decode_rotations(
-    plan: CirculationPlan, instance: TimetableInstance, matrices: ConnectionMatrices
-) -> list[Rotation]:
-    """Cut the cycle at maintenance arcs and total up each piece.
+class Walk(NamedTuple):
+    """What validate's walk records, per position (0-based) and per rotation."""
 
-    Requires the plan to be structurally sound, as validate judges it: no
-    SHAPE or EQ8/EQ9 finding and every ordinary arc connectable. Otherwise
-    raises InvalidPlanError naming every SHAPE and EQ8/EQ9 finding, or the
-    first arc that cannot connect. Concatenating the result reproduces
-    `order`.
-    """
-    findings, ids = _structure(plan, instance.n)
-    if findings:
-        raise _refusal(findings)
-    flags = plan.maint_after
-    rotations: list[Rotation] = []
-    start = waited = 0
-    for d, _, wait, km, mins in _walk(ids, flags, matrices):
-        if wait is None:
-            raise _refusal([_no_connection(ids, d)])
-        waited += wait
-        if flags[d]:
-            rotations.append(Rotation(tuple(ids[start : d + 1]), km, mins, waited))
-            start, waited = d + 1, 0
-    return rotations
+    ids: tuple[int, ...]  # the train at each position, as a plain int
+    km: tuple[float, ...]  # mileage since the last maintenance, at each position
+    mins: tuple[int, ...]  # minutes since the last maintenance, at each position
+    ends: tuple[int, ...]  # each rotation's last position
+    waited: tuple[int, ...]  # minutes waited inside each rotation
 
+    def spans(self):
+        """Each rotation's first and last position."""
+        return zip((0, *(end + 1 for end in self.ends)), self.ends)
 
-def _totals(order, flags, matrices: ConnectionMatrices):
-    """(minutes waited, each rotation's km, each rotation's minutes) of a plan
-    that validate finds structurally sound (no SHAPE, EQ8/EQ9 or CONN), from
-    the walk alone: the rotation totals decode_rotations would return."""
-    waited = 0
-    km_ends: list[float] = []
-    min_ends: list[int] = []
-    for d, _, wait, km, mins in _walk(order, flags, matrices):
-        waited += wait
-        if flags[d]:
-            km_ends.append(km)
-            min_ends.append(mins)
-    return waited, km_ends, min_ends
+    def rotations(self) -> list[Rotation]:
+        """The cycle cut after each rotation's last position."""
+        return [Rotation(self.ids[first : last + 1], self.km[last], self.mins[last], waited)
+                for (first, last), waited in zip(self.spans(), self.waited)]
 
 
 @dataclass(frozen=True)
@@ -146,6 +97,7 @@ class Violation:
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[Violation, ...]
+    walk: Walk | None = field(default=None, repr=False, compare=False)  # None: not walked
 
     @property
     def ok(self) -> bool:
@@ -162,7 +114,8 @@ def _structure(plan: CirculationPlan, n: int):
 
     Returns (findings, ids): the SHAPE and EQ8/EQ9 violations in report
     order, and the ids as plain ints, or None when the plan has no walk (its
-    length is not n, its lengths differ or an id lies outside 1..n).
+    length is not n, its lengths differ, a flag is not 0/1 or an id lies
+    outside 1..n).
     """
     order, flags = plan.order, plan.maint_after
     v: list[Violation] = []
@@ -171,7 +124,8 @@ def _structure(plan: CirculationPlan, n: int):
     if len(flags) != len(order):
         v.append(Violation("SHAPE", "order and maint_after lengths differ"))
         return v, None
-    if operator.countOf(flags, 0) + operator.countOf(flags, 1) != len(flags):  # hashes no flag
+    flags_ok = operator.countOf(flags, 0) + operator.countOf(flags, 1) == len(flags)  # hashes no flag
+    if not flags_ok:
         for d, flag in enumerate(flags):
             if flag not in (0, 1):
                 v.append(Violation("SHAPE", f"maintenance flag {flag!r} is not 0/1", d + 1))
@@ -205,22 +159,7 @@ def _structure(plan: CirculationPlan, n: int):
         v.append(Violation("EQ8/EQ9", f"trains used more than once: {dups}"))
     if missing and len(order) == n:
         v.append(Violation("EQ8/EQ9", f"trains never used: {missing}"))
-    return v, (None if len(order) != n or bad else ids)
-
-
-def _no_connection(ids, d: int) -> Violation:
-    """The CONN finding of the ordinary arc into position d + 1."""
-    return Violation("CONN", f"trains {ids[d - 1]} and {ids[d]} cannot connect", d + 1)
-
-
-def _refusal(findings) -> InvalidPlanError:
-    """The error of a reader that needs a structurally sound plan, naming
-    each finding with its position."""
-    named = "; ".join(str(f) if f.position is None else f"{f} (position {f.position})"
-                      for f in findings)
-    return InvalidPlanError(
-        f"plan does not run each train exactly once in one connected cycle: {named}"
-    )
+    return v, (ids if len(order) == n and flags_ok and not bad else None)
 
 
 def validate(
@@ -233,8 +172,11 @@ def validate(
     only at eligible arcs), EQ11 / EQ12 (mileage / time since maintenance
     within the allowance at every position). The single-loop rule needs no
     check of its own: the plan is a cyclic order, so once EQ8/EQ9 holds its
-    successor graph is one n-cycle. Accumulation past a CONN violation treats
-    the unknown waiting time as zero so later positions still get checked.
+    successor graph is one n-cycle.
+
+    The one walk over a plan's positions; the report carries its record (see
+    Walk) for the readers that format it. An arc that cannot connect counts
+    as 0 minutes waited, so later positions still get checked.
     """
     n = instance.n
     v, ids = _structure(plan, n)
@@ -242,10 +184,23 @@ def validate(
         return ValidationReport(tuple(v))
 
     max_l, max_t = instance.params.max_mileage, instance.params.max_time
-    flags, at_depot, conn_rows = plan.maint_after, matrices.tables.arr_at_depot, matrices.conn_rows
-    for d, tid, wait, km, mins in _walk(ids, flags, matrices):
-        if wait is None:
-            v.append(_no_connection(ids, d))
+    flags, conn_rows = plan.maint_after, matrices.conn_rows
+    mileage, travel, at_depot, _ = matrices.tables
+    kms, mins_at, ends, waits = [], [], [], []
+    km = mins = waited = prev = 0  # prev: the train before an ordinary arc, else 0
+    for d, tid in enumerate(ids):
+        if prev:
+            wait = conn_rows[prev - 1][tid - 1]
+            if wait is None:
+                v.append(Violation("CONN", f"trains {prev} and {tid} cannot connect", d + 1))
+                wait = 0
+            km += mileage[tid]
+            mins += wait + travel[tid]
+            waited += wait
+        else:
+            km, mins = mileage[tid], travel[tid]
+        kms.append(km)
+        mins_at.append(mins)
         if km > max_l:
             v.append(Violation("EQ11", f"{km:.1f} km since maintenance exceeds {max_l:.1f}", d + 1))
         if mins > max_t:
@@ -256,7 +211,39 @@ def validate(
                 v.append(
                     Violation("EQ10", f"maintenance between {tid} and {nxt} is not at the depot", d + 1)
                 )
-    return ValidationReport(tuple(v))
+            ends.append(d)
+            waits.append(waited)
+            prev = waited = 0
+        else:
+            prev = tid
+    walk = Walk(tuple(ids), tuple(kms), tuple(mins_at), tuple(ends), tuple(waits))
+    return ValidationReport(tuple(v), walk)
+
+
+def _sound_walk(report: ValidationReport) -> Walk:
+    """The walk of a plan that runs each train exactly once in one connected
+    cycle. Otherwise raises the one refusal of the readers that need such a
+    plan: an InvalidPlanError naming every SHAPE, EQ8/EQ9 and CONN finding of
+    the report with its position."""
+    unsound = [f for f in report.violations if f.tag in ("SHAPE", "EQ8/EQ9", "CONN")]
+    if unsound:
+        named = "; ".join(str(f) if f.position is None else f"{f} (position {f.position})"
+                          for f in unsound)
+        raise InvalidPlanError(
+            f"plan does not run each train exactly once in one connected cycle: {named}"
+        )
+    return report.walk
+
+
+def decode_rotations(
+    plan: CirculationPlan, instance: TimetableInstance, matrices: ConnectionMatrices
+) -> list[Rotation]:
+    """Cut the cycle at maintenance arcs and total up each piece.
+
+    Raises InvalidPlanError on a plan with a SHAPE, EQ8/EQ9 or CONN finding
+    (see _sound_walk). Concatenating the result reproduces `order`.
+    """
+    return _sound_walk(validate(plan, instance, matrices)).rotations()
 
 
 def objective_value(
@@ -274,8 +261,8 @@ def objective_value(
         raise InvalidPlanError(
             f"plan violates {len(report.violations)} constraint(s): {sorted(report.tags())}"
         )
-    waited, km_ends, _ = _totals(plan.order, plan.maint_after, matrices)
-    return fitness_from_totals(waited, km_ends, instance.params)[0]
+    walk = report.walk
+    return fitness_from_totals(sum(walk.waited), [walk.km[e] for e in walk.ends], instance.params)[0]
 
 
 def fitness_from_totals(waited, rotation_km, params) -> tuple[float, bool]:
@@ -334,13 +321,12 @@ def plan_summary(
     plan: CirculationPlan, instance: TimetableInstance, matrices: ConnectionMatrices
 ) -> PlanSummary:
     """Rotation counts and extremes, fitness, and the objective when the plan
-    passes validate. Raises InvalidPlanError naming every SHAPE, EQ8/EQ9 and
-    CONN finding of validate's report, the ones decode_rotations refuses."""
+    passes validate. Raises InvalidPlanError where decode_rotations does."""
     report = validate(plan, instance, matrices)
-    unsound = [f for f in report.violations if f.tag in ("SHAPE", "EQ8/EQ9", "CONN")]
-    if unsound:
-        raise _refusal(unsound)
-    waited, km_ends, min_ends = _totals(plan.order, plan.maint_after, matrices)
+    walk = _sound_walk(report)
+    km_ends = [walk.km[e] for e in walk.ends]
+    min_ends = [walk.mins[e] for e in walk.ends]
+    waited = sum(walk.waited)
     fitness = fitness_from_totals(waited, km_ends, instance.params)[0]
     return PlanSummary(
         n_rotations=len(km_ends),
@@ -362,23 +348,14 @@ def render_plan(
     rotation breakdown. Deterministic formatting (km to 0.1, minutes whole).
     Raises InvalidPlanError where decode_rotations does.
     """
-    findings, ids = _structure(plan, instance.n)
-    if findings:
-        raise _refusal(findings)
-    flags = plan.maint_after
+    walk = _sound_walk(validate(plan, instance, matrices))
+    ids, km, mins = walk.ids, walk.km, walk.mins
     lines = ["cycle"]
-    rotations = []
-    start = 0
-    for d, tid, wait, km, mins in _walk(ids, flags, matrices):
-        if wait is None:
-            raise _refusal([_no_connection(ids, d)])
-        lines.append(f"pos {d + 1} train {tid} maint {flags[d]} accum_km {km:.1f} accum_min {mins}")
-        if flags[d]:
-            trains = ",".join(map(str, ids[start : d + 1]))
-            rotations.append(f"rotation {len(rotations) + 1}: {trains} km {km:.1f} min {mins}")
-            start = d + 1
-    lines.append(f"rotations {len(rotations)}")
-    lines += rotations
+    lines += [f"pos {d + 1} train {ids[d]} maint {flag} accum_km {km[d]:.1f} accum_min {mins[d]}"
+              for d, flag in enumerate(plan.maint_after)]
+    lines.append(f"rotations {len(walk.ends)}")
+    lines += [f"rotation {r}: {','.join(map(str, ids[first : last + 1]))} km {km[last]:.1f} "
+              f"min {mins[last]}" for r, (first, last) in enumerate(walk.spans(), start=1)]
     return "\n".join(lines) + "\n"
 
 
@@ -388,6 +365,7 @@ def parse_plan(text: str) -> CirculationPlan:
     """
     entries: dict[int, tuple[int, int]] = {}
     saw_cycle = False
+    ascii_text = text.isascii()  # else each number is checked: int() reads other scripts' digits
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
@@ -402,6 +380,8 @@ def parse_plan(text: str) -> CirculationPlan:
         if len(tokens) < 6 or tokens[2] != "train" or tokens[4] != "maint":
             raise PlanFormatError("expected: pos <d> train <id> maint <0|1> ...", lineno)
         try:
+            if not (ascii_text or (tokens[1] + tokens[3] + tokens[5]).isascii()):
+                raise ValueError
             d, tid, flag = int(tokens[1]), int(tokens[3]), int(tokens[5])
         except ValueError:
             raise PlanFormatError("position, train id and flag must be integers", lineno) from None

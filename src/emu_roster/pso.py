@@ -28,7 +28,8 @@ position is the order its last decode realized, and proposing a realized
 order replays that attempt without a draw or a dead end, so the particle
 keeps its last (plan, fitness, feasibility). It is still re-keyed, because
 its coefficients move its velocity, and its plan goes through the same
-bookkeeping of bests as every other.
+bookkeeping of bests as every other. So does a particle whose decode runs
+out of restarts after iteration 0: it keeps its last decode too.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from numbers import Integral
 import numpy as np
 
 from .connection import ConnectionMatrices, build_matrices
-from .constructor import MAX_RESTARTS, check_maint_prob, construct_with_stats
+from .constructor import MAX_RESTARTS, InfeasibleError, check_maint_prob, construct_with_stats
 from .plan import CirculationPlan, fitness_from_totals
 from .timetable import TimetableInstance
 
@@ -211,7 +212,9 @@ def solve(
     pass through mileage-overrun plans; the reported plan is always the best
     one with every rotation inside the allowance. The initial swarm comes
     from the random constructor, so at least one such plan always exists.
-    A passed maint_prob has no effect (see check_maint_prob).
+    Only iteration 0 raises InfeasibleError: a later particle whose decode
+    runs out of max_restarts keeps its last plan, and its failed attempts
+    count in restarts. A passed maint_prob has no effect (see check_maint_prob).
     """
     check_maint_prob(maint_prob)
     if matrices is None:
@@ -271,11 +274,19 @@ def solve(
             if stays[m]:
                 plan, fit, feasible = decoded[m]
             else:
-                plan, failed, waited, rotation_km = construct_with_stats(
-                    instance, matrices, rng, max_restarts, proposal=proposed[m] if k else None)
-                restarts += failed
-                fit, feasible = fitness_from_totals(waited, rotation_km, params)
-                decoded[m] = plan, fit, feasible
+                try:
+                    plan, failed, waited, rotation_km = construct_with_stats(
+                        instance, matrices, rng, max_restarts, proposal=proposed[m] if k else None)
+                except InfeasibleError:
+                    if not k:
+                        raise
+                    # keeps its last decode; every attempt failed, the guided one included
+                    restarts += max_restarts + 2
+                    plan, fit, feasible = decoded[m]
+                else:
+                    restarts += failed
+                    fit, feasible = fitness_from_totals(waited, rotation_km, params)
+                    decoded[m] = plan, fit, feasible
             orders.append(plan.order)
             if fit < pbest_fit[m]:
                 pbest_fit[m] = fit

@@ -233,6 +233,12 @@ def _col(line: str, token: str) -> int:
     return line.index(token) + 1
 
 
+def _ascii(token: str) -> str:
+    if not token.isascii():  # int() and float() also read other scripts' digits
+        raise ValueError(token)
+    return token
+
+
 def _parse_hhmm(token: str, lineno: int, line: str) -> int:
     h, colon, m = token.partition(":")
     if not (colon and h.isdigit() and m.isdigit() and token.isascii()):  # ASCII digits only
@@ -276,7 +282,7 @@ def parse_timetable(text: str) -> TimetableInstance:
             if name not in PARAM_KEYS:
                 raise TimetableError(f"unknown parameter {name!r}", lineno, _col(line, name))
             try:
-                params_seen[name] = float(tokens[2])
+                params_seen[name] = float(_ascii(tokens[2]))
             except ValueError:
                 raise TimetableError(f"bad numeric value {tokens[2]!r}", lineno,
                                      _col(line, tokens[2])) from None
@@ -291,15 +297,15 @@ def parse_timetable(text: str) -> TimetableInstance:
                     f"train lines take 7 fields, got {len(tokens) - 1}", lineno, _col(line, kind)
                 )
             try:
-                tid = int(tokens[1])
+                tid = int(_ascii(tokens[1]))
             except ValueError:
                 raise TimetableError(f"bad train id {tokens[1]!r}", lineno,
                                      _col(line, tokens[1])) from None
             dep_t = _parse_hhmm(tokens[3], lineno, line)
             arr_t = _parse_hhmm(tokens[5], lineno, line)
             try:
-                mileage = float(tokens[6])
-                travel = int(tokens[7])
+                mileage = float(_ascii(tokens[6]))
+                travel = int(_ascii(tokens[7]))
             except ValueError:
                 raise TimetableError("bad mileage or travel time", lineno,
                                      _col(line, tokens[6])) from None

@@ -10,6 +10,7 @@ from emu_roster import (
     Rotation,
     TimetableInstance,
     Train,
+    ValidationReport,
     build_matrices,
     construct,
     decode_rotations,
@@ -381,6 +382,12 @@ def test_plan_file_rejects_garbage():
         parse_plan("pos 1 train 1 maint 1\n")
     with pytest.raises(PlanFormatError, match="duplicate"):
         parse_plan("cycle\npos 1 train 1 maint 0\npos 1 train 2 maint 1\n")
+    # int() also reads other scripts' digits; the file format takes ASCII only
+    for line in ("pos \u0661 train 1 maint 1", "pos 1 train \u0662 maint 1",
+                 "pos 1 train 1 maint \u0661"):
+        with pytest.raises(PlanFormatError) as info:
+            parse_plan(f"cycle\n{line}\n")
+        assert str(info.value) == "line 2: position, train id and flag must be integers"
 
 
 def test_rotation_and_fitness_helpers_reject_unknown_ids(fig1, fig1_matrices):
@@ -441,13 +448,15 @@ def test_rotation_and_fitness_helpers_refuse_what_validate_calls_shape(
 
 def test_a_list_flag_is_named_where_validate_reports_it(fig1, fig1_matrices):
     plan = _flag_4_is_a_list(construct(fig1, fig1_matrices, np.random.default_rng(0)))
+    # a plan whose flags are not all 0/1 is not walked: the flag is its only finding
     report = validate(plan, fig1, fig1_matrices)
-    shape = [v for v in report.violations if v.tag == "SHAPE"]
-    assert [(v.position, v.message) for v in shape] == [(4, "maintenance flag [1] is not 0/1")]
+    assert [(v.tag, v.position, v.message) for v in report.violations] == [
+        ("SHAPE", 4, "maintenance flag [1] is not 0/1")]
+    assert report.walk is None
     for helper in (decode_rotations, fitness_value, plan_summary, render_plan):
         with pytest.raises(InvalidPlanError) as info:
             helper(plan, fig1, fig1_matrices)
-        assert f"{shape[0]} (position 4)" in str(info.value)
+        assert str(info.value).endswith(": SHAPE maintenance flag [1] is not 0/1 (position 4)")
 
 
 @pytest.mark.parametrize("bad", [[1], "a"], ids=["unhashable", "unordered"])
@@ -565,19 +574,35 @@ def test_golden_read_side():
 @pytest.mark.parametrize("family", sorted(GOLDEN_VIOLATIONS))
 def test_refusal_and_report_agree(family):
     # the readers that need a sound plan refuse exactly what validate calls
-    # SHAPE, EQ8/EQ9 or CONN, naming its first finding of that family
+    # SHAPE, EQ8/EQ9 or CONN, all with one text naming every such finding
     inst, m, plan = _golden_n100()
     broken = _corrupt(plan, inst, m, family)
     if family not in ("SHAPE", "EQ8/EQ9", "CONN"):
         decode_rotations(broken, inst, m)
+        fitness_value(broken, inst, m)
         render_plan(broken, inst, m)
         assert plan_summary(broken, inst, m).objective is None
         return
-    first = next(v for v in validate(broken, inst, m).violations if v.tag == family)
-    for reader in (decode_rotations, render_plan, plan_summary):
+    unsound = [v for v in validate(broken, inst, m).violations
+               if v.tag in ("SHAPE", "EQ8/EQ9", "CONN")]
+    named = "; ".join(str(v) if v.position is None else f"{v} (position {v.position})"
+                      for v in unsound)
+    for reader in (decode_rotations, render_plan, fitness_value, plan_summary):
         with pytest.raises(InvalidPlanError) as info:
             reader(broken, inst, m)
-        assert str(first) in str(info.value)
+        assert str(info.value) == (
+            f"plan does not run each train exactly once in one connected cycle: {named}")
+
+
+def test_report_repr_and_equality_leave_out_the_walk(fig1, fig1_matrices, fig1_plan):
+    report = validate(fig1_plan, fig1, fig1_matrices)
+    assert report.walk is not None
+    assert repr(report) == "ValidationReport(violations=())"
+    assert report == ValidationReport(())
+    assert hash(report) == hash(ValidationReport(()))
+    assert isinstance(report.walk.km, tuple) and isinstance(report.walk.ends, tuple)
+    with pytest.raises(AttributeError):
+        report.walk = None
 
 
 def _as_int64(ids):

@@ -611,3 +611,44 @@ def test_maint_prob_is_deprecated_in_decode_and_solve(fig1, fig1_matrices):
 def test_solve_rejects_out_of_range_knobs(fig1, fig1_matrices, knob):
     with pytest.raises(ValueError, match="must"):
         solve(fig1, fig1_matrices, SwarmConfig(n_particles=4, k_max=5), **knob)
+
+
+def _failed_attempts(monkeypatch):
+    """Spy on solve's decodes: the failed attempts of each, in call order, as
+    returned or as the error counts them, or None for an iteration-0
+    construction that ran out of restarts."""
+    failed = []
+
+    def spy(*args, proposal=None):
+        try:
+            out = construct_with_stats(*args, proposal=proposal)
+        except InfeasibleError as exc:
+            attempts = int(re.search(r"in (\d+) consecutive attempts", str(exc)).group(1))
+            failed.append(None if proposal is None else attempts)
+            raise
+        failed.append(out[1])
+        return out
+
+    monkeypatch.setattr(pso, "construct_with_stats", spy)
+    return failed
+
+
+def test_a_decode_out_of_restarts_after_iteration_0_keeps_the_last_plan(
+        fig1, fig1_matrices, monkeypatch):
+    # fig1's multi-leg chains dead-end often: at max_restarts=3 some guided
+    # decodes of this run use up all five attempts (the guided one and four
+    # more), and the search goes on with each particle's last plan
+    failed = _failed_attempts(monkeypatch)
+    result = solve(fig1, fig1_matrices, SwarmConfig(n_particles=8, k_max=40, seed=0), max_restarts=3)
+    assert 5 in failed and None not in failed
+    assert result.restarts == sum(failed)
+    assert validate(result.best_plan, fig1, fig1_matrices).ok
+    assert result.best_fitness == objective_value(result.best_plan, fig1, fig1_matrices)
+
+
+def test_a_construction_out_of_restarts_in_iteration_0_still_raises(
+        fig1, fig1_matrices, monkeypatch):
+    failed = _failed_attempts(monkeypatch)
+    with pytest.raises(InfeasibleError, match="dead-ended in 4 consecutive attempts"):
+        solve(fig1, fig1_matrices, SwarmConfig(n_particles=8, k_max=40, seed=1), max_restarts=3)
+    assert failed[-1] is None

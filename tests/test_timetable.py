@@ -108,9 +108,15 @@ def test_syntax_error_reports_line():
     ("param omega1  1,0", (2, 15), "bad numeric value '1,0'"),
     (" param omega1", (2, 2), "param lines take exactly a name and a value"),
     ("maint_station C D", (2, 1), "maint_station takes exactly one station id"),
+    ("train \u0662 C 08:00 A 10:00 300.0 120", (2, 7), "bad train id '\u0662'"),
+    ("train 1 C 08:00 A 10:00 \u0662\u0668\u0660.\u0660 120", (2, 25), "bad mileage or travel time"),
+    ("train 1 C 08:00 A 10:00 300.0 \u0661\u0660\u0660", (2, 25), "bad mileage or travel time"),
+    ("param omega1 \u0661", (2, 14), "bad numeric value '\u0661'"),
 ], ids=["train-id", "hhmm", "hhmm-3-parts", "hhmm-sign", "hhmm-superscript", "hhmm-arabic-indic",
         "hour-range", "minute-range", "mileage", "travel", "field-count", "train-field",
-        "directive", "param-name", "param-value", "param-arity", "maint-arity"])
+        "directive", "param-name", "param-value", "param-arity", "maint-arity",
+        "train-id-arabic-indic", "mileage-arabic-indic", "travel-arabic-indic",
+        "param-value-arabic-indic"])
 def test_syntax_error_line_and_column(line, where, message):
     text = f"maint_station C\n{line}\ntrain 2 A 11:00 C 13:00 300.0 120\n"
     with pytest.raises(TimetableError) as info:

@@ -31,6 +31,7 @@ from .timetable import (
     PARAM_KEYS,
     ModelParams,
     TimetableError,
+    float_token,
     generate_instance,
     param_field,
     parse_timetable,
@@ -38,9 +39,8 @@ from .timetable import (
 )
 
 _SWARM_KEYS = {f.name for f in fields(SwarmConfig)}
-# every config key: the model parameters, the swarm's, and the constructor knobs
-# (max_restarts, and maint_prob, which is deprecated but still range-checked)
-_KEYS = set(PARAM_KEYS) | _SWARM_KEYS | {"maint_prob", "max_restarts"}
+# every config key: the model parameters, the swarm's, and the constructor's max_restarts
+_KEYS = set(PARAM_KEYS) | _SWARM_KEYS | {"max_restarts"}
 _INT_KEYS = {"n_particles", "k_max", "seed", "max_restarts", "t_connect"}
 _GEN_KEYS = set(PARAM_KEYS) | {"seed"}  # the keys gen reads: the model and its generator's seed
 
@@ -50,9 +50,7 @@ class CliError(Exception):
 
 
 def _check_range(key: str, value: float, where: str) -> None:
-    """Reject a constructor knob outside its range; where names its source."""
-    if key == "maint_prob" and not 0.0 <= value <= 1.0:
-        raise CliError(f"{where} must lie in [0, 1], got {value!r}")
+    """Reject a negative max_restarts; where names its source."""
     if key == "max_restarts" and value < 0:
         raise CliError(f"{where} must be >= 0, got {value!r}")
 
@@ -74,7 +72,8 @@ def _write(path: str, content: str) -> None:
 
 
 def _parse_config_file(path: str) -> dict[str, float]:
-    """key=value lines; '#' comments; keys from _KEYS. Counts, the seed and
+    """key=value lines; '#' comments; keys from _KEYS; values are number
+    tokens as the timetable reads them (see float_token). Counts, the seed and
     t_connect must be integral and are returned as ints."""
     values: dict[str, float] = {}
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
@@ -88,7 +87,7 @@ def _parse_config_file(path: str) -> dict[str, float]:
         if key not in _KEYS:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            value = float(val.strip())
+            value = float_token(val.strip())
         except ValueError:
             raise CliError(f"{path}:{lineno}: bad numeric value {val.strip()!r}") from None
         if key in _INT_KEYS:
@@ -124,8 +123,6 @@ def _load_search(args):
     params = _model_params(instance.params, settings)
     if params != instance.params:  # a new instance re-runs the checks and their warnings
         instance = replace(instance, params=params)
-    if "maint_prob" in settings:
-        print("warning: maint_prob is deprecated and has no effect", file=sys.stderr)
     cfg = SwarmConfig(**{k: v for k, v in settings.items() if k in _SWARM_KEYS})
     return instance, cfg, settings.get("max_restarts", MAX_RESTARTS)
 
@@ -251,8 +248,6 @@ def _add_swarm_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--particles", dest="n_particles", metavar="PARTICLES", type=int,
                    help="swarm size")
     p.add_argument("--iters", dest="k_max", metavar="ITERS", type=int, help="iteration count")
-    p.add_argument("--maint-prob", dest="maint_prob", type=float,
-                   help="deprecated, has no effect (still checked to lie in [0, 1])")
     p.add_argument("--max-restarts", dest="max_restarts", type=int,
                    help="failed construction attempts allowed before giving up (>= 0)")
 

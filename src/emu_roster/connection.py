@@ -54,8 +54,8 @@ class ConnectionMatrices:
     the per-train lists.
 
     The constructor's step reads a station by list subscript rather than by
-    name: a station's slot is its place in departures, which lists the depot
-    first when any train leaves it. arr_slot and arr_reach, lists by train id
+    name: a station's slot is its place in departures, where the depot, which
+    some train always leaves, is slot 0. arr_slot and arr_reach, lists by train id
     (entry 0 is padding), give the slot and the reach of the station where
     the train arrives. A station's reach bounds (km, minutes) what one step
     from it adds to a rotation's totals: the largest mileage of the trains
@@ -144,8 +144,6 @@ def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
             row[j - 1] = _WAITS[wait if wait >= t_connect else wait + MINUTES_PER_DAY]
         rows.append(row)
 
-    if not departures[depot]:
-        del departures[depot]
     tables = TrainTables(
         mileage=[0.0] + [t.mileage for t in trains],
         travel=[0] + [t.travel_time for t in trains],

@@ -163,13 +163,10 @@ def build_cycle(
     arr_slot, arr_reach = matrices.arr_slot, matrices.arr_reach
     random = rng.random  # a uniform double in [0, 1); picks index by int(random() * len)
 
-    departures = matrices.departures
-    if depot not in departures:
-        raise InfeasibleError("no train departs the depot station; no plan exists")
     placed = [False] * (n + 1)
     # unassigned departures per station slot, ascending ids, the depot's at
     # slot 0; a train leaves its list when placed
-    free = [[*ids] for ids in departures.values()]
+    free = [[*ids] for ids in matrices.departures.values()]
     depot_free = free[0]
 
     order = [0] * n
@@ -242,9 +239,7 @@ def build_cycle(
         placed[j] = True
         prev, prev_row, at_depot = j, conn_rows[j - 1], arr_at_depot[j]
 
-    if not at_depot:
-        # cannot happen on a flow-balanced instance; guard for odd inputs
-        raise DeadEnd("cycle does not end at the depot")
+    # a trail from the depot over every train ends there, by flow balance
     rotation_km.append(acc_l)  # the last rotation, closed by the arc into position 1
     if joins:
         waited, rotation_km = _drop_paying_cuts(order, maint_after, waited, rotation_km, joins,
@@ -264,7 +259,7 @@ def check_maint_prob(maint_prob: float | None) -> None:
 
 def construct_with_stats(
     instance: TimetableInstance, matrices: ConnectionMatrices, rng: np.random.Generator,
-    max_restarts: int = MAX_RESTARTS, maint_prob: float | None = None, proposal=None,
+    max_restarts: int = MAX_RESTARTS, *, proposal=None,
 ) -> tuple[CirculationPlan, int, int, list[float]]:
     """Run build_cycle until it succeeds; returns (plan, failed attempts,
     waited, rotation_km), the last two as build_cycle returns them.
@@ -272,12 +267,10 @@ def construct_with_stats(
     A proposal guides the first attempt only, which max_restarts does not
     charge; the failed count, returned or raised, includes it.
 
-    Raises ValueError, before any draw, for a negative max_restarts or a
-    maint_prob outside [0, 1] (see check_maint_prob).
+    Raises ValueError, before any draw, for a negative max_restarts.
     """
     if max_restarts < 0:
         raise ValueError(f"max_restarts must be >= 0, got {max_restarts!r}")
-    check_maint_prob(maint_prob)
     attempts = max_restarts + 1 if proposal is None else max_restarts + 2
     for failed in range(attempts):
         try:
@@ -294,6 +287,7 @@ def construct(
     instance: TimetableInstance, matrices: ConnectionMatrices, rng: np.random.Generator,
     max_restarts: int = MAX_RESTARTS, maint_prob: float | None = None,
 ) -> CirculationPlan:
-    """Build a feasible circulation plan, restarting on dead ends."""
+    """Build a feasible circulation plan, restarting on dead ends. maint_prob
+    stays only because bench/run.py still passes it (ROADMAP item 4)."""
     check_maint_prob(maint_prob)
     return construct_with_stats(instance, matrices, rng, max_restarts)[0]

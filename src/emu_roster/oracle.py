@@ -45,20 +45,16 @@ def brute_force(
     rows = matrices.conn_rows
     mileage, travel, arr_at_depot, arr_station = matrices.tables
 
-    depot_departures = matrices.departures.get(instance.maint_station)
-    if not depot_departures:
-        return OracleResult(None, None, 0, 0)
-    v_star = depot_departures[0]  # ascending ids
+    v_star = matrices.departures[instance.maint_station][0]  # ascending ids
 
     counters = {"plans": 0, "feasible": 0}
     best: list = [None]  # (objective, order, flags)
 
     def evaluate_cycle(cycle: list[int]) -> None:
-        # every arc of the cycle connects, so eligibility is the arrival at the depot
+        # every arc of the cycle connects, so eligibility is the arrival at the
+        # depot, which some train of every cycle makes
         arc_conn = [rows[cycle[d] - 1][cycle[(d + 1) % n] - 1] for d in range(n)]
         eligible = [d for d in range(n) if arr_at_depot[cycle[d]]]
-        if not eligible:
-            return
         total_conn = sum(arc_conn)
         for mask in range(1, 1 << len(eligible)):
             counters["plans"] += 1

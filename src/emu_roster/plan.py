@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .connection import ConnectionMatrices
-from .timetable import TimetableInstance
+from .timetable import TimetableInstance, ascii_digits
 
 
 class InvalidPlanError(ValueError):
@@ -107,10 +107,18 @@ class ValidationReport:
         return {v.tag for v in self.violations}
 
 
+def _integer(x) -> int | None:
+    """x as a plain int if its type is an integer one (with __index__) but bool, else None."""
+    try:
+        return None if isinstance(x, bool) else operator.index(x)
+    except TypeError:
+        return None
+
+
 def _structure(plan: CirculationPlan, n: int):
     """The one place the structural rule is written: a plan runs each of the
     n trains exactly once (EQ8/EQ9) in one closed cycle, with integer ids in
-    1..n, 0/1 flags and the closing flag set (SHAPE).
+    1..n, integer 0/1 flags (see _integer) and the closing flag set (SHAPE).
 
     Returns (findings, ids): the SHAPE and EQ8/EQ9 violations in report
     order, and the ids as plain ints, or None when the plan has no walk (its
@@ -124,22 +132,22 @@ def _structure(plan: CirculationPlan, n: int):
     if len(flags) != len(order):
         v.append(Violation("SHAPE", "order and maint_after lengths differ"))
         return v, None
-    flags_ok = operator.countOf(flags, 0) + operator.countOf(flags, 1) == len(flags)  # hashes no flag
+    # plain int flags are counted, hashing none; True and 1.0 equal 1 but are no flag
+    flags_ok = (set(map(type, flags)) <= {int}
+                and operator.countOf(flags, 0) + operator.countOf(flags, 1) == len(flags))
     if not flags_ok:
-        for d, flag in enumerate(flags):
-            if flag not in (0, 1):
-                v.append(Violation("SHAPE", f"maintenance flag {flag!r} is not 0/1", d + 1))
+        bad_flags = [d for d, flag in enumerate(flags) if _integer(flag) not in (0, 1)]
+        v += [Violation("SHAPE", f"maintenance flag {flags[d]!r} is not 0/1", d + 1)
+              for d in bad_flags]
+        flags_ok = not bad_flags
     bad, dups, missing = [], [], []
     if (set(map(type, order)) == {int} and 1 <= min(order) and max(order) <= n
             and len(set(order)) == len(order)):
         ids = order  # plain ids in 1..n with no repeat: nothing for SHAPE or EQ8/EQ9 to find
     else:
         ids, counts = [], {}
-        for t in order:  # any integer type with __index__, bools excluded
-            try:
-                i = None if isinstance(t, bool) else operator.index(t)
-            except TypeError:
-                i = None
+        for t in order:
+            i = _integer(t)
             if i is not None and 1 <= i <= n:
                 ids.append(i)
                 counts[i] = counts.get(i, 0) + 1
@@ -361,11 +369,11 @@ def render_plan(
 
 def parse_plan(text: str) -> CirculationPlan:
     """Read a plan file back; only order and maintenance flags are taken,
-    running totals and the rotation section are derived output.
+    running totals and the rotation section are derived output. Position,
+    train id and flag are ASCII digits (see timetable.ascii_digits).
     """
     entries: dict[int, tuple[int, int]] = {}
     saw_cycle = False
-    ascii_text = text.isascii()  # else each number is checked: int() reads other scripts' digits
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
@@ -379,12 +387,9 @@ def parse_plan(text: str) -> CirculationPlan:
             continue
         if len(tokens) < 6 or tokens[2] != "train" or tokens[4] != "maint":
             raise PlanFormatError("expected: pos <d> train <id> maint <0|1> ...", lineno)
-        try:
-            if not (ascii_text or (tokens[1] + tokens[3] + tokens[5]).isascii()):
-                raise ValueError
-            d, tid, flag = int(tokens[1]), int(tokens[3]), int(tokens[5])
-        except ValueError:
-            raise PlanFormatError("position, train id and flag must be integers", lineno) from None
+        if not ascii_digits(tokens[1] + tokens[3] + tokens[5]):  # so is each of the three
+            raise PlanFormatError("position, train id and flag must be integers", lineno)
+        d, tid, flag = int(tokens[1]), int(tokens[3]), int(tokens[5])
         if flag not in (0, 1):
             raise PlanFormatError(f"maintenance flag must be 0 or 1, got {flag}", lineno)
         if d in entries:

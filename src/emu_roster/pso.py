@@ -170,16 +170,14 @@ def decode(
     instance: TimetableInstance,
     matrices: ConnectionMatrices,
     rng: np.random.Generator,
-    maint_prob: float | None = None,
+    *,
     max_restarts: int = MAX_RESTARTS,
 ) -> tuple[CirculationPlan, int]:
     """Realize a position vector as a plan, repairing illegal entries.
 
     construct_with_stats with the position as the proposal of its first
-    attempt; returns (plan, dead ends), a guided dead end included. A passed
-    maint_prob has no effect (see check_maint_prob).
+    attempt; returns (plan, dead ends), a guided dead end included.
     """
-    check_maint_prob(maint_prob)
     return construct_with_stats(instance, matrices, rng, max_restarts, proposal=position)[:2]
 
 
@@ -214,7 +212,8 @@ def solve(
     from the random constructor, so at least one such plan always exists.
     Only iteration 0 raises InfeasibleError: a later particle whose decode
     runs out of max_restarts keeps its last plan, and its failed attempts
-    count in restarts. A passed maint_prob has no effect (see check_maint_prob).
+    count in restarts. maint_prob stays only because bench/run.py still
+    passes it (ROADMAP item 4); it has no effect.
     """
     check_maint_prob(maint_prob)
     if matrices is None:

@@ -3,7 +3,7 @@
 A timetable instance is the full input of the planner: the train list, the
 single depot-adjacent station where maintenance can be performed, and the
 numeric model parameters (cycle limits, overrun tolerance, objective
-weights). The station universe follows from the trains and the depot.
+weights). The station universe follows from the trains, the depot among them.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class TimetableInstance:
     params: ModelParams = field(default_factory=ModelParams)
 
     def __post_init__(self):
-        check_instance(self.trains, self.params)
+        check_instance(self.trains, self.maint_station, self.params)
 
     @property
     def n(self) -> int:
@@ -155,9 +155,8 @@ class TimetableInstance:
 
     @cached_property
     def stations(self) -> frozenset[str]:
-        """The stations the trains serve, and the depot station."""
-        return frozenset({t.dep_station for t in self.trains}
-                         | {t.arr_station for t in self.trains} | {self.maint_station})
+        """The stations the trains serve, the depot among them."""
+        return frozenset(s for t in self.trains for s in (t.dep_station, t.arr_station))
 
     @property
     def maint_stations(self) -> frozenset[str]:
@@ -179,10 +178,13 @@ class TimetableInstance:
         return replace(self, params=replace(self.params, **overrides))
 
 
-def check_instance(trains, params) -> None:
-    """Enforce instance-level invariants; warn on tolerated oddities."""
+def check_instance(trains, maint_station, params) -> None:
+    """Enforce instance-level invariants, a depot some train serves among
+    them; warn on tolerated oddities."""
     if not trains:
         raise TimetableError("no trains")
+    if not any(maint_station in (t.dep_station, t.arr_station) for t in trains):
+        raise TimetableError(f"unknown station in maint_stations: {maint_station!r}")
     ids = [t.id for t in trains]
     if sorted(ids) != list(range(1, len(trains) + 1)):
         dup = sorted({i for i in ids if ids.count(i) > 1})
@@ -233,15 +235,23 @@ def _col(line: str, token: str) -> int:
     return line.index(token) + 1
 
 
-def _ascii(token: str) -> str:
-    if not token.isascii():  # int() and float() also read other scripts' digits
+def ascii_digits(token: str) -> bool:
+    """Whether token is an integer of the text formats: ASCII digits alone
+    (int() also takes a sign, underscores and other scripts' digits)."""
+    return token.isdigit() and token.isascii()
+
+
+def float_token(token: str) -> float:
+    """A real number of the text formats: float()'s syntax in ASCII with no
+    underscore, inf, nan and 1e-05 included; raises ValueError otherwise."""
+    if "_" in token or not token.isascii():
         raise ValueError(token)
-    return token
+    return float(token)
 
 
 def _parse_hhmm(token: str, lineno: int, line: str) -> int:
     h, colon, m = token.partition(":")
-    if not (colon and h.isdigit() and m.isdigit() and token.isascii()):  # ASCII digits only
+    if not (colon and ascii_digits(h) and ascii_digits(m)):
         raise TimetableError(f"expected HH:MM, got {token!r}", lineno, _col(line, token))
     hours, minutes = int(h), int(m)
     if hours > 23 or minutes > 59:
@@ -260,6 +270,7 @@ def parse_timetable(text: str) -> TimetableInstance:
         param <name> <value>      one line per model parameter (optional)
         maint_station <id>        required, exactly once
         train <id> <dep> <HH:MM> <arr> <HH:MM> <mileage_km> <travel_min>
+    with ids and minutes as ascii_digits and other numbers as float_token reads.
 
     Raises TimetableError with line/column info on malformed input, and on
     any instance-invariant violation (duplicate ids, flow imbalance, ...).
@@ -282,7 +293,7 @@ def parse_timetable(text: str) -> TimetableInstance:
             if name not in PARAM_KEYS:
                 raise TimetableError(f"unknown parameter {name!r}", lineno, _col(line, name))
             try:
-                params_seen[name] = float(_ascii(tokens[2]))
+                params_seen[name] = float_token(tokens[2])
             except ValueError:
                 raise TimetableError(f"bad numeric value {tokens[2]!r}", lineno,
                                      _col(line, tokens[2])) from None
@@ -296,23 +307,19 @@ def parse_timetable(text: str) -> TimetableInstance:
                 raise TimetableError(
                     f"train lines take 7 fields, got {len(tokens) - 1}", lineno, _col(line, kind)
                 )
-            try:
-                tid = int(_ascii(tokens[1]))
-            except ValueError:
-                raise TimetableError(f"bad train id {tokens[1]!r}", lineno,
-                                     _col(line, tokens[1])) from None
+            if not ascii_digits(tokens[1]):
+                raise TimetableError(f"bad train id {tokens[1]!r}", lineno, _col(line, tokens[1]))
             dep_t = _parse_hhmm(tokens[3], lineno, line)
             arr_t = _parse_hhmm(tokens[5], lineno, line)
             try:
-                mileage = float(_ascii(tokens[6]))
-                travel = int(_ascii(tokens[7]))
+                mileage = float_token(tokens[6])
             except ValueError:
-                raise TimetableError("bad mileage or travel time", lineno,
-                                     _col(line, tokens[6])) from None
+                mileage = None
+            if mileage is None or not ascii_digits(tokens[7]):
+                raise TimetableError("bad mileage or travel time", lineno, _col(line, tokens[6]))
             try:
-                trains.append(
-                    Train(tid, tokens[2], dep_t, tokens[4], arr_t, mileage, travel)
-                )
+                trains.append(Train(int(tokens[1]), tokens[2], dep_t, tokens[4], arr_t, mileage,
+                                    int(tokens[7])))
             except TimetableError as exc:
                 raise TimetableError(str(exc), lineno, _col(line, kind)) from None
         else:
@@ -330,8 +337,6 @@ def parse_timetable(text: str) -> TimetableInstance:
     params = ModelParams(**kwargs)
 
     trains.sort(key=lambda t: t.id)
-    if not any(maint[0] in (t.dep_station, t.arr_station) for t in trains):
-        raise TimetableError(f"unknown station in maint_stations: {maint[0]!r}")
     return TimetableInstance(trains=tuple(trains), maint_station=maint[0], params=params)
 
 

@@ -142,20 +142,20 @@ def test_solve_fig1_reaches_the_optimum(tmp_path, capsys):
     assert "objective 858.200000\n" in out
 
 
-def test_maint_prob_is_deprecated_and_has_no_effect(tmp_path, capsys):
-    common = ("--particles", "5", "--iters", "8", "--seed", "2")
-    code, ref_out, ref_err = run(capsys, "solve", FIG1, "--out", str(tmp_path / "ref.txt"), *common)
-    assert code == 0 and "warning" not in ref_err
+def test_maint_prob_flag_and_key_are_refused(tmp_path, capsys):
+    plan_path = tmp_path / "p.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", FIG1, "--out", str(plan_path), "--maint-prob", "0.9"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "error: unrecognized arguments: --maint-prob 0.9" in captured.err
     cfgf = tmp_path / "knob.cfg"
-    cfgf.write_text("maint_prob=0.9\n")
-    for name, extra in (("flag.txt", ("--maint-prob", "0.9")), ("key.txt", ("--config", str(cfgf))),
-                        ("both.txt", ("--config", str(cfgf), "--maint-prob", "0"))):
-        code, out, err = run(capsys, "solve", FIG1, "--out", str(tmp_path / name), *common, *extra)
-        assert code == 0
-        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
-        assert len(warnings) == 1 and "deprecated" in warnings[0]
-        assert out == ref_out
-        assert (tmp_path / name).read_bytes() == (tmp_path / "ref.txt").read_bytes()
+    cfgf.write_text("maint_prob=0.5\n")
+    for argv in (("solve", FIG1, "--out", str(plan_path)), ("gen", "--pairs", "3")):
+        assert run(capsys, *argv, "--config", str(cfgf)) == (
+            1, "", f"error: {cfgf}:1: unknown key 'maint_prob'\n")
+    assert not plan_path.exists()
 
 
 def test_solve_infeasible_instance_exit_2(tmp_path, capsys):
@@ -346,8 +346,6 @@ def test_config_file_rejects_non_integral_counts(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--max-restarts", "-3", "--max-restarts must be >= 0"),
-    ("--maint-prob", "1.5", "--maint-prob must lie in [0, 1]"),
-    ("--maint-prob", "-0.1", "--maint-prob must lie in [0, 1]"),
 ])
 def test_constructor_knob_flags_out_of_range_exit_1(tmp_path, capsys, flag, value, message):
     plan_path = tmp_path / "p.txt"
@@ -360,8 +358,6 @@ def test_constructor_knob_flags_out_of_range_exit_1(tmp_path, capsys, flag, valu
 
 @pytest.mark.parametrize("line, message", [
     ("max_restarts=-3", "max_restarts must be >= 0"),
-    ("maint_prob=1.5", "maint_prob must lie in [0, 1]"),
-    ("maint_prob=nan", "maint_prob must lie in [0, 1]"),
 ])
 def test_config_file_rejects_out_of_range_knobs(tmp_path, capsys, line, message):
     cfgf = tmp_path / "solver.cfg"
@@ -370,6 +366,23 @@ def test_config_file_rejects_out_of_range_knobs(tmp_path, capsys, line, message)
                        "--config", str(cfgf), "--particles", "2", "--iters", "2")
     assert code == 1
     assert f"{cfgf}:2: {message}" in err
+
+
+@pytest.mark.parametrize("line", ["seed=\u0665", "k_max=1_0", "lambda=0_0.05"],
+                         ids=["arabic-indic", "underscore", "float-underscore"])
+def test_config_file_reads_numbers_as_the_timetable_does(tmp_path, capsys, line):
+    # float() also reads other scripts' digits and underscores between digits
+    cfgf = tmp_path / "solver.cfg"
+    cfgf.write_text(f"n_particles=3\n{line}\n")
+    plan_path = tmp_path / "p.txt"
+    code, out, err = run(capsys, "solve", FIG1, "--out", str(plan_path), "--config", str(cfgf))
+    value = line.split("=")[1]
+    assert (code, out, err) == (1, "", f"error: {cfgf}:2: bad numeric value {value!r}\n")
+    assert not plan_path.exists()
+    # inf and exponents still read: the key's own check refuses an inf
+    cfgf.write_text("omega2=1e-05\nl_cycle=inf\n")
+    assert run(capsys, "gen", "--pairs", "3", "--config", str(cfgf)) == (
+        1, "", "error: l_cycle must be finite, got inf\n")
 
 
 @pytest.mark.parametrize("line, message", [
@@ -394,11 +407,10 @@ def test_negative_seed_is_usage_error(tmp_path, capsys):
 
 
 def test_constructor_knob_range_ends_are_accepted(tmp_path, capsys):
-    for flags in (("--maint-prob", "0"), ("--maint-prob", "1"), ("--max-restarts", "0")):
-        code, _, err = run(capsys, "solve", FIG1, "--out", str(tmp_path / "p.txt"), *flags,
-                           "--particles", "2", "--iters", "2", "--seed", "1")
-        # a single attempt (no restarts) may honestly dead-end: exit 2, not a usage error
-        assert code in (0, 2) and "error:" not in err, flags
+    code, _, err = run(capsys, "solve", FIG1, "--out", str(tmp_path / "p.txt"), "--max-restarts",
+                       "0", "--particles", "2", "--iters", "2", "--seed", "1")
+    # a single attempt (no restarts) may honestly dead-end: exit 2, not a usage error
+    assert code in (0, 2) and "error:" not in err
 
 
 def test_cli_flag_overrides_config(tmp_path, capsys):
@@ -436,7 +448,7 @@ def test_explicit_trace_path_and_constructor_knobs(tmp_path, capsys):
     trace_path = tmp_path / "fitness.csv"
     code, _, _ = run(capsys, "solve", FIG1, "--out", str(plan_path),
                      "--trace", str(trace_path), "--particles", "5", "--iters", "8",
-                     "--seed", "2", "--maint-prob", "0.9", "--max-restarts", "50")
+                     "--seed", "2", "--max-restarts", "50")
     assert code == 0
     assert trace_path.exists()
     assert not (tmp_path / "plan.txt.trace.csv").exists()
@@ -505,8 +517,7 @@ def test_gen_reads_the_seed_from_config(tmp_path, capsys):
         0, by_default, "")
 
 
-@pytest.mark.parametrize("line", ["k_max=5", "n_particles=4", "w_max=0.8", "max_restarts=3",
-                                  "maint_prob=0.5"])
+@pytest.mark.parametrize("line", ["k_max=5", "n_particles=4", "w_max=0.8", "max_restarts=3"])
 def test_gen_refuses_a_key_it_does_not_use(tmp_path, capsys, line):
     cfgf = tmp_path / "unused.cfg"
     cfgf.write_text(f"seed=5\n{line}\n")

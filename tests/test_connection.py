@@ -7,12 +7,10 @@ import pytest
 
 from emu_roster import (
     ConnectionMatrices,
-    InfeasibleError,
     ModelParams,
     TimetableInstance,
     Train,
     build_matrices,
-    construct,
     generate_instance,
 )
 
@@ -222,8 +220,12 @@ def test_matrices_deterministic(fig1):
 
 
 def test_station_slots_by_train_id(fig1):
-    # fig1, and paired timetables of n = 8 and n = 500
-    for inst in (fig1, generate_instance(4, 4, seed=3), generate_instance(250, 4, seed=3)):
+    # fig1, paired timetables of n = 8 and n = 500, and one whose train 1 leaves
+    # another station than the depot
+    away_first = instance(train(1, "A", "06:00", "C", "07:00"),
+                          train(2, "C", "08:00", "A", "09:00"), maint="C")
+    for inst in (fig1, generate_instance(4, 4, seed=3), generate_instance(250, 4, seed=3),
+                 away_first):
         m = build_matrices(inst)
         # a station's slot is its place in departures, which lists the depot first
         slots = list(m.departures)
@@ -255,16 +257,3 @@ def test_matrices_read_only_t_connect_and_the_depot():
     for f in fields(ConnectionMatrices):
         assert getattr(a, f.name) == getattr(b, f.name), f.name
     assert build_matrices(inst.with_params(t_connect=30)).conn_rows != a.conn_rows
-
-
-def test_depot_without_departures_gets_no_slot():
-    inst = TimetableInstance(
-        trains=(train(1, "A", "06:00", "C", "07:00"), train(2, "C", "08:00", "A", "09:00")),
-        maint_station="B",
-        params=ModelParams(t_connect=T_CONNECT),
-    )
-    m = build_matrices(inst)
-    assert list(m.departures) == ["A", "C"]
-    assert m.arr_slot == [0, 1, 0]
-    with pytest.raises(InfeasibleError, match="no train departs the depot station"):
-        construct(inst, m, np.random.default_rng(0))

@@ -172,11 +172,12 @@ def test_construct_rejects_out_of_range_knobs(fig1, fig1_matrices, knob, message
 
 def test_maint_prob_is_deprecated_and_has_no_effect(fig1, fig1_matrices):
     ref = construct_with_stats(fig1, fig1_matrices, np.random.default_rng(3))
+    # only construct keeps the keyword; construct_with_stats takes none
+    with pytest.raises(TypeError, match="maint_prob"):
+        construct_with_stats(fig1, fig1_matrices, np.random.default_rng(3), maint_prob=0.5)
+    with pytest.raises(TypeError):  # a fifth positional argument is no proposal
+        construct_with_stats(fig1, fig1_matrices, np.random.default_rng(3), 100, 0.5)
     for maint_prob in (0.0, 0.5, 1.0):
-        with pytest.warns(DeprecationWarning, match="maint_prob is deprecated"):
-            got = construct_with_stats(fig1, fig1_matrices, np.random.default_rng(3),
-                                       maint_prob=maint_prob)
-        assert got == ref
         with pytest.warns(DeprecationWarning, match="maint_prob is deprecated"):
             plan = construct(fig1, fig1_matrices, np.random.default_rng(3), maint_prob=maint_prob)
         assert plan == ref[0]

@@ -382,9 +382,11 @@ def test_plan_file_rejects_garbage():
         parse_plan("pos 1 train 1 maint 1\n")
     with pytest.raises(PlanFormatError, match="duplicate"):
         parse_plan("cycle\npos 1 train 1 maint 0\npos 1 train 2 maint 1\n")
-    # int() also reads other scripts' digits; the file format takes ASCII only
+    # int() also reads other scripts' digits, a sign and underscores between
+    # digits; the file format takes ASCII digits only
     for line in ("pos \u0661 train 1 maint 1", "pos 1 train \u0662 maint 1",
-                 "pos 1 train 1 maint \u0661"):
+                 "pos 1 train 1 maint \u0661", "pos +1 train 1 maint 1",
+                 "pos 1 train 0_2 maint 1", "pos 1 train 1 maint -0"):
         with pytest.raises(PlanFormatError) as info:
             parse_plan(f"cycle\n{line}\n")
         assert str(info.value) == "line 2: position, train id and flag must be integers"
@@ -457,6 +459,27 @@ def test_a_list_flag_is_named_where_validate_reports_it(fig1, fig1_matrices):
         with pytest.raises(InvalidPlanError) as info:
             helper(plan, fig1, fig1_matrices)
         assert str(info.value).endswith(": SHAPE maintenance flag [1] is not 0/1 (position 4)")
+
+
+@pytest.mark.parametrize("kind", [bool, float], ids=["bool", "float"])
+def test_a_flag_that_only_equals_0_or_1_is_shape(fig1, fig1_matrices, kind):
+    plan = construct(fig1, fig1_matrices, np.random.default_rng(0))
+    # True and 1.0 equal 1, yet render_plan would write "maint True" or "maint 1.0"
+    flags = tuple(map(kind, plan.maint_after))
+    report = validate(CirculationPlan(plan.order, flags), fig1, fig1_matrices)
+    assert [(v.tag, v.position, v.message) for v in report.violations] == [
+        ("SHAPE", d, f"maintenance flag {flag!r} is not 0/1") for d, flag in enumerate(flags, 1)]
+    assert report.walk is None
+    one = plan.maint_after[:-1] + (kind(1),)
+    assert [str(v) for v in validate(CirculationPlan(plan.order, one), fig1, fig1_matrices)
+            .violations] == [f"SHAPE maintenance flag {kind(1)!r} is not 0/1"]
+    with pytest.raises(InvalidPlanError):
+        render_plan(CirculationPlan(plan.order, one), fig1, fig1_matrices)
+    # any other integer type is a flag, as it is an id
+    numpy_flags = CirculationPlan(plan.order, tuple(map(np.int64, plan.maint_after)))
+    assert validate(numpy_flags, fig1, fig1_matrices).ok
+    assert (render_plan(numpy_flags, fig1, fig1_matrices)
+            == render_plan(plan, fig1, fig1_matrices))
 
 
 @pytest.mark.parametrize("bad", [[1], "a"], ids=["unhashable", "unordered"])

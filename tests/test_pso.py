@@ -596,9 +596,12 @@ def test_particles_that_stay_skip_their_decode(name, monkeypatch):
 
 def test_maint_prob_is_deprecated_in_decode_and_solve(fig1, fig1_matrices):
     vec = [7, 3, 3, 1, 12, 2, 2, 8, 5, 5, 10, 11]
-    ref = decode(vec, fig1, fig1_matrices, np.random.default_rng(9))
-    with pytest.warns(DeprecationWarning, match="maint_prob is deprecated"):
-        assert decode(vec, fig1, fig1_matrices, np.random.default_rng(9), 0.9) == ref
+    # decode no longer takes the keyword, nor reads a fifth positional argument
+    # as max_restarts
+    with pytest.raises(TypeError, match="maint_prob"):
+        decode(vec, fig1, fig1_matrices, np.random.default_rng(9), maint_prob=0.5)
+    with pytest.raises(TypeError):
+        decode(vec, fig1, fig1_matrices, np.random.default_rng(9), 0.9)
     cfg = SwarmConfig(n_particles=4, k_max=5, seed=3)
     ref = solve(fig1, fig1_matrices, cfg)
     with pytest.warns(DeprecationWarning, match="maint_prob is deprecated"):

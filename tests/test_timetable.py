@@ -30,15 +30,27 @@ def test_fig1_parses(fig1):
 
 
 def test_stations_are_derived():
-    # the depot is a station even when no train serves it; the set form of
+    # the stations the trains serve, the depot among them; the set form of
     # the depot holds it alone
     a, c = Train(1, "A", 360, "C", 420, 300.0, 60), Train(2, "C", 480, "A", 540, 300.0, 60)
-    inst = TimetableInstance(trains=(a, c), maint_station="B")
-    assert inst.stations == frozenset({"A", "B", "C"})
-    assert inst.maint_stations == frozenset({"B"}) == frozenset({inst.maint_station})
+    inst = TimetableInstance(trains=(a, c), maint_station="C")
+    assert inst.stations == frozenset({"A", "C"})
+    assert inst.maint_stations == frozenset({"C"}) == frozenset({inst.maint_station})
     assert [f.name for f in dataclasses.fields(inst)] == ["trains", "maint_station", "params"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         inst.maint_station = "A"
+
+
+def test_a_depot_no_train_serves_is_refused():
+    a, c = Train(1, "A", 360, "C", 420, 300.0, 60), Train(2, "C", 480, "A", 540, 300.0, 60)
+    with pytest.raises(TimetableError) as info:
+        TimetableInstance(trains=(a, c), maint_station="B")
+    assert str(info.value) == "unknown station in maint_stations: 'B'"
+    # checked right after "no trains", before the ids and the flow balance
+    with pytest.raises(TimetableError, match="no trains"):
+        TimetableInstance(trains=(), maint_station="B")
+    with pytest.raises(TimetableError, match="unknown station in maint_stations: 'B'"):
+        TimetableInstance(trains=(c, a), maint_station="B")
 
 
 def test_empty_file_is_no_trains():
@@ -112,11 +124,19 @@ def test_syntax_error_reports_line():
     ("train 1 C 08:00 A 10:00 \u0662\u0668\u0660.\u0660 120", (2, 25), "bad mileage or travel time"),
     ("train 1 C 08:00 A 10:00 300.0 \u0661\u0660\u0660", (2, 25), "bad mileage or travel time"),
     ("param omega1 \u0661", (2, 14), "bad numeric value '\u0661'"),
+    # int() and float() also take underscores between digits, int() a sign
+    ("train +1 C 08:00 A 10:00 300.0 120", (2, 7), "bad train id '+1'"),
+    ("train 1_0 C 08:00 A 10:00 300.0 120", (2, 7), "bad train id '1_0'"),
+    ("train 1 C 08:00 A 10:00 3_00.0 120", (2, 25), "bad mileage or travel time"),
+    ("train 1 C 08:00 A 10:00 300.0 1_20", (2, 25), "bad mileage or travel time"),
+    ("train 1 C 08:00 A 10:00 300.0 +120", (2, 25), "bad mileage or travel time"),
+    ("param omega1 1_0", (2, 14), "bad numeric value '1_0'"),
 ], ids=["train-id", "hhmm", "hhmm-3-parts", "hhmm-sign", "hhmm-superscript", "hhmm-arabic-indic",
         "hour-range", "minute-range", "mileage", "travel", "field-count", "train-field",
         "directive", "param-name", "param-value", "param-arity", "maint-arity",
         "train-id-arabic-indic", "mileage-arabic-indic", "travel-arabic-indic",
-        "param-value-arabic-indic"])
+        "param-value-arabic-indic", "train-id-sign", "train-id-underscore",
+        "mileage-underscore", "travel-underscore", "travel-sign", "param-value-underscore"])
 def test_syntax_error_line_and_column(line, where, message):
     text = f"maint_station C\n{line}\ntrain 2 A 11:00 C 13:00 300.0 120\n"
     with pytest.raises(TimetableError) as info:

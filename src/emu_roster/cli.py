@@ -31,6 +31,7 @@ from .timetable import (
     PARAM_KEYS,
     ModelParams,
     TimetableError,
+    ascii_digits,
     float_token,
     generate_instance,
     param_field,
@@ -74,7 +75,8 @@ def _write(path: str, content: str) -> None:
 def _parse_config_file(path: str) -> dict[str, float]:
     """key=value lines; '#' comments; keys from _KEYS; values are number
     tokens as the timetable reads them (see float_token). Counts, the seed and
-    t_connect must be integral and are returned as ints."""
+    t_connect (_INT_KEYS) are integers, an optional '-' then ASCII digits (see
+    ascii_digits), and are returned as ints; 1e1, +3 and 3.0 are refused."""
     values: dict[str, float] = {}
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -86,14 +88,15 @@ def _parse_config_file(path: str) -> dict[str, float]:
         key = key.strip()
         if key not in _KEYS:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+        val = val.strip()
         try:
-            value = float_token(val.strip())
+            value = float_token(val)
         except ValueError:
-            raise CliError(f"{path}:{lineno}: bad numeric value {val.strip()!r}") from None
+            raise CliError(f"{path}:{lineno}: bad numeric value {val!r}") from None
         if key in _INT_KEYS:
-            if not value.is_integer():
-                raise CliError(f"{path}:{lineno}: {key} must be an integer, got {val.strip()!r}")
-            value = int(value)
+            if not ascii_digits(val.removeprefix("-")):
+                raise CliError(f"{path}:{lineno}: {key} must be an integer, got {val!r}")
+            value = int(val)
         _check_range(key, value, f"{path}:{lineno}: {key}")
         values[key] = value
     return values

@@ -67,7 +67,9 @@ class ConnectionMatrices:
 
     conn_rows, departures, tables and the two lists are derived together and
     are read-only by contract: editing one puts it out of step with the
-    others. Freezing the rows as tuples would slow build_matrices.
+    others, and plan.validate, whose memo is keyed by the matrices' identity,
+    would answer from its last report. Freezing the rows as tuples would slow
+    build_matrices.
 
     Matrices belong to the trains, depot station and t_connect they were
     built from, the only inputs build_matrices reads: an instance from

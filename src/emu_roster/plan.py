@@ -10,11 +10,12 @@ starts a fresh rotation.
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .connection import ConnectionMatrices
-from .timetable import TimetableInstance, ascii_digits
+from .timetable import TimetableInstance
 
 
 class InvalidPlanError(ValueError):
@@ -170,6 +171,10 @@ def _structure(plan: CirculationPlan, n: int):
     return v, (ids if len(order) == n and flags_ok and not bad else None)
 
 
+# validate's memo: (plan, instance, matrices) weak references and their report
+_last: tuple | None = None
+
+
 def validate(
     plan: CirculationPlan, instance: TimetableInstance, matrices: ConnectionMatrices
 ) -> ValidationReport:
@@ -185,7 +190,20 @@ def validate(
     The one walk over a plan's positions; the report carries its record (see
     Walk) for the readers that format it. An arc that cannot connect counts
     as 0 minutes waited, so later positions still get checked.
+
+    A repeat call on the same three objects (by identity) returns the last
+    report without walking, so readers that follow a validate of one plan
+    walk it once. The one-entry memo holds weak references, keeping no plan,
+    instance or network alive, and is replaced by one assignment. It stores
+    only a walked report (every id and flag an integer) of a CirculationPlan
+    whose order and maint_after are tuples, with a TimetableInstance and
+    ConnectionMatrices themselves; any other call walks every time. It relies on the matrices being read-only by contract (see
+    ConnectionMatrices): a network edited in place would go unnoticed.
     """
+    global _last
+    last = _last
+    if last is not None and last[0]() is plan and last[1]() is instance and last[2]() is matrices:
+        return last[3]
     n = instance.n
     v, ids = _structure(plan, n)
     if ids is None:
@@ -225,7 +243,12 @@ def validate(
         else:
             prev = tid
     walk = Walk(tuple(ids), tuple(kms), tuple(mins_at), tuple(ends), tuple(waits))
-    return ValidationReport(tuple(v), walk)
+    report = ValidationReport(tuple(v), walk)
+    if (type(plan) is CirculationPlan and type(plan.order) is tuple
+            and type(plan.maint_after) is tuple and type(instance) is TimetableInstance
+            and type(matrices) is ConnectionMatrices):
+        _last = (weakref.ref(plan), weakref.ref(instance), weakref.ref(matrices), report)
+    return report
 
 
 def _sound_walk(report: ValidationReport) -> Walk:
@@ -375,7 +398,7 @@ def parse_plan(text: str) -> CirculationPlan:
     entries: dict[int, tuple[int, int]] = {}
     saw_cycle = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tokens:
             continue
         kind = tokens[0]
@@ -387,7 +410,8 @@ def parse_plan(text: str) -> CirculationPlan:
             continue
         if len(tokens) < 6 or tokens[2] != "train" or tokens[4] != "maint":
             raise PlanFormatError("expected: pos <d> train <id> maint <0|1> ...", lineno)
-        if not ascii_digits(tokens[1] + tokens[3] + tokens[5]):  # so is each of the three
+        digits = tokens[1] + tokens[3] + tokens[5]  # ASCII digits alone, so is each of the three
+        if not (digits.isdigit() and digits.isascii()):
             raise PlanFormatError("position, train id and flag must be integers", lineno)
         d, tid, flag = int(tokens[1]), int(tokens[3]), int(tokens[5])
         if flag not in (0, 1):

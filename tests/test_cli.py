@@ -344,6 +344,19 @@ def test_config_file_rejects_non_integral_counts(tmp_path, capsys, key):
     assert f"{key} must be an integer" in err
 
 
+@pytest.mark.parametrize("value", ["1e1", "+3", "3.0"])
+@pytest.mark.parametrize("key", ["n_particles", "k_max", "seed", "max_restarts", "t_connect"])
+def test_config_file_reads_integer_keys_as_integers(tmp_path, capsys, key, value):
+    # float() reads these as whole numbers; an integer key takes '-' and ASCII digits alone
+    cfgf = tmp_path / "solver.cfg"
+    cfgf.write_text(f"# counts\n{key}={value}\n")
+    plan_path = tmp_path / "p.txt"
+    code, out, err = run(capsys, "solve", FIG1, "--out", str(plan_path), "--config", str(cfgf))
+    assert (code, out, err) == (
+        1, "", f"error: {cfgf}:2: {key} must be an integer, got {value!r}\n")
+    assert not plan_path.exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--max-restarts", "-3", "--max-restarts must be >= 0"),
 ])
@@ -358,6 +371,7 @@ def test_constructor_knob_flags_out_of_range_exit_1(tmp_path, capsys, flag, valu
 
 @pytest.mark.parametrize("line, message", [
     ("max_restarts=-3", "max_restarts must be >= 0"),
+    ("max_restarts=-07", "max_restarts must be >= 0, got -7"),
 ])
 def test_config_file_rejects_out_of_range_knobs(tmp_path, capsys, line, message):
     cfgf = tmp_path / "solver.cfg"

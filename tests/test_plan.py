@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from emu_roster import (
     CirculationPlan,
     InvalidPlanError,
     ModelParams,
+    PlanFormatError,
     Rotation,
     TimetableInstance,
     Train,
@@ -374,8 +377,6 @@ def test_plan_file_roundtrip(fig1, fig1_matrices, fig1_plan):
 
 
 def test_plan_file_rejects_garbage():
-    from emu_roster import PlanFormatError
-
     with pytest.raises(PlanFormatError, match="line 1"):
         parse_plan("nonsense\n")
     with pytest.raises(PlanFormatError, match="cycle"):
@@ -383,13 +384,23 @@ def test_plan_file_rejects_garbage():
     with pytest.raises(PlanFormatError, match="duplicate"):
         parse_plan("cycle\npos 1 train 1 maint 0\npos 1 train 2 maint 1\n")
     # int() also reads other scripts' digits, a sign and underscores between
-    # digits; the file format takes ASCII digits only
+    # digits; the file format takes ASCII digits only. A superscript two is a
+    # digit to str.isdigit() that int() cannot read.
     for line in ("pos \u0661 train 1 maint 1", "pos 1 train \u0662 maint 1",
                  "pos 1 train 1 maint \u0661", "pos +1 train 1 maint 1",
-                 "pos 1 train 0_2 maint 1", "pos 1 train 1 maint -0"):
+                 "pos 1 train 0_2 maint 1", "pos 1 train 1 maint -0",
+                 "pos \u00b2 train 1 maint 1", "pos 1 train \u00b2 maint 1",
+                 "pos 1 train 1 maint \u00b2"):
         with pytest.raises(PlanFormatError) as info:
             parse_plan(f"cycle\n{line}\n")
         assert str(info.value) == "line 2: position, train id and flag must be integers"
+
+
+def test_plan_file_comment_after_a_position(fig1_plan):
+    text = "cycle\n" + "".join(
+        f"pos {d} train {t} maint {f} # note {d}\n"
+        for d, (t, f) in enumerate(zip(fig1_plan.order, fig1_plan.maint_after), start=1))
+    assert parse_plan(text) == fig1_plan
 
 
 def test_rotation_and_fitness_helpers_reject_unknown_ids(fig1, fig1_matrices):
@@ -626,6 +637,73 @@ def test_report_repr_and_equality_leave_out_the_walk(fig1, fig1_matrices, fig1_p
     assert isinstance(report.walk.km, tuple) and isinstance(report.walk.ends, tuple)
     with pytest.raises(AttributeError):
         report.walk = None
+
+
+# --- validate's memo ---------------------------------------------------------
+
+def _copy(plan):
+    """An equal plan that is a distinct object, with distinct tuples."""
+    return CirculationPlan(tuple(list(plan.order)), tuple(list(plan.maint_after)))
+
+
+def test_validate_repeat_call_returns_an_equal_report(fig1, fig1_matrices, fig1_plan):
+    plan = _copy(fig1_plan)
+    first = validate(plan, fig1, fig1_matrices)
+    again = validate(plan, fig1, fig1_matrices)
+    assert again is first  # the memo's report: no second walk
+    # an equal plan that is another object gets an equal report of its own walk
+    other = validate(_copy(plan), fig1, fig1_matrices)
+    assert other == first and other.walk == first.walk
+
+
+def test_validate_memo_is_keyed_on_the_instance_too(fig1, fig1_matrices, fig1_plan):
+    # the km window is the instance's, not the network's: the same matrices serve both
+    plan = _copy(fig1_plan)
+    assert validate(plan, fig1, fig1_matrices).ok
+    tight = fig1.with_params(l_cycle=1500.0)
+    assert "EQ11" in validate(plan, tight, fig1_matrices).tags()
+    assert validate(plan, fig1, fig1_matrices).ok
+
+
+def test_validate_walks_a_list_plan_again_after_an_edit(fig1, fig1_matrices, fig1_plan):
+    order, flags = list(fig1_plan.order), list(fig1_plan.maint_after)
+    plan = CirculationPlan(order, fig1_plan.maint_after)
+    assert validate(plan, fig1, fig1_matrices).ok
+    order[1] = order[0]
+    assert "EQ8/EQ9" in validate(plan, fig1, fig1_matrices).tags()
+    plan = CirculationPlan(fig1_plan.order, flags)
+    assert validate(plan, fig1, fig1_matrices).ok
+    flags[-1] = 0
+    assert validate(plan, fig1, fig1_matrices).tags() == {"SHAPE"}
+
+
+def test_validate_memo_keeps_nothing_alive():
+    inst = generate_instance(3, 2, seed=4)
+    m = build_matrices(inst)
+    plan = construct(inst, m, np.random.default_rng(0))
+    assert validate(plan, inst, m).ok
+    refs = [weakref.ref(plan), weakref.ref(inst), weakref.ref(m)]
+    del plan, inst, m
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+
+
+def _read_side(plan, inst, m):
+    return plan_summary(plan, inst, m), render_plan(plan, inst, m), render_dot(plan, inst, m)
+
+
+@pytest.mark.parametrize("which", ["fig1", "golden n100"])
+def test_readers_give_the_same_bytes_after_a_validate(which, fig1, fig1_matrices, fig1_plan):
+    inst, m, plan = (fig1, fig1_matrices, fig1_plan) if which == "fig1" else _golden_n100()
+    # each reader on its own fresh copy: none follows a validate of its plan
+    fresh = tuple(reader(_copy(plan), inst, m)
+                  for reader in (plan_summary, render_plan, render_dot))
+    plan = _copy(plan)
+    assert validate(plan, inst, m).ok
+    after = _read_side(plan, inst, m)
+    assert repr(after[0]) == repr(fresh[0])
+    assert after[1:] == fresh[1:]
+    assert _read_side(plan, inst, m) == after
 
 
 def _as_int64(ids):

@@ -68,8 +68,9 @@ class ConnectionMatrices:
     conn_rows, departures, tables and the two lists are derived together and
     are read-only by contract: editing one puts it out of step with the
     others, and plan.validate, whose memo is keyed by the matrices' identity,
-    would answer from its last report. Freezing the rows as tuples would slow
-    build_matrices.
+    would answer from its last report, and conn_time, once built, is a copy.
+    A changed network needs a new build_matrices call. Freezing the rows as
+    tuples would slow build_matrices.
 
     Matrices belong to the trains, depot station and t_connect they were
     built from, the only inputs build_matrices reads: an instance from

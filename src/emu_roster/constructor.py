@@ -21,9 +21,10 @@ randomness is rng.random(), at most once per position, so any source of
 uniform doubles with that method serves, such as solve's Philox streams.
 
 The swarm decoder supplies a proposed train per position, taken where it is
-legal and repaired by the normal step elsewhere (construct_with_stats passes
-it to its first attempt only). An attempt also returns the minutes waited
-and each rotation's mileage, so the swarm scores a decode without a walk.
+legal and repaired by the normal step elsewhere (pso's decoder passes it to
+one attempt, then restarts with construct_with_stats). An attempt returns
+the order and flags as lists, with the minutes waited and each rotation's
+mileage, so the swarm scores a decode without a walk or a plan object.
 """
 
 from __future__ import annotations
@@ -43,7 +44,18 @@ MAX_RESTARTS = 100  # failed attempts construct_with_stats allows by default
 
 
 class InfeasibleError(RuntimeError):
-    """No circulation plan can exist (or none was found within the restart budget)."""
+    """No circulation plan can exist, or none was found within the restart
+    budget; then attempts counts the attempts that dead-ended."""
+
+    attempts = 0
+
+    @classmethod
+    def dead_ended(cls, attempts: int) -> InfeasibleError:
+        err = cls(f"construction dead-ended in {attempts} consecutive attempts; on multi-leg "
+                  "chains or under tight cycle windows no successor may fit, where a higher "
+                  "max_restarts may help")
+        err.attempts = attempts
+        return err
 
 
 class DeadEnd(Exception):
@@ -130,15 +142,16 @@ def _drop_paying_cuts(order: list[int], maint_after: list[int], waited: int,
 def build_cycle(
     instance: TimetableInstance, matrices: ConnectionMatrices, rng: np.random.Generator,
     proposal=None,
-) -> tuple[CirculationPlan, int, list[float]]:
+) -> tuple[list[int], list[int], int, list[float]]:
     """One construction attempt; raises DeadEnd when it cannot continue.
 
-    Returns (plan, waited, rotation_km): the minutes waited on the plan's
-    ordinary arcs and the total mileage of each rotation in cycle order, the
-    totals fitness_from_totals scores, summed as validate's walk sums them. The
-    chain cuts at every depot arrival; _drop_paying_cuts then keeps the best
-    set of those cuts for the order, drawing nothing. An attempt draws at
-    most one number per position, none for a taken proposal.
+    Returns (order, maint_after, waited, rotation_km): the plan's fields as
+    lists, for the caller that keeps a plan to freeze, then the minutes
+    waited on its ordinary arcs and the total mileage of each rotation in
+    cycle order, the totals fitness_from_totals scores, summed as validate's
+    walk sums them. The chain cuts at every depot arrival; _drop_paying_cuts
+    then keeps the best set of those cuts for the order, drawing nothing. An
+    attempt draws at most one number per position, none for a taken proposal.
 
     With a proposal (one train id per position), each proposed train is taken
     when it is unassigned and legal under the current step's rules, except
@@ -244,7 +257,7 @@ def build_cycle(
     if joins:
         waited, rotation_km = _drop_paying_cuts(order, maint_after, waited, rotation_km, joins,
                                                 matrices, params)
-    return CirculationPlan(tuple(order), tuple(maint_after)), waited, rotation_km
+    return order, maint_after, waited, rotation_km
 
 
 def check_maint_prob(maint_prob: float | None) -> None:
@@ -259,28 +272,22 @@ def check_maint_prob(maint_prob: float | None) -> None:
 
 def construct_with_stats(
     instance: TimetableInstance, matrices: ConnectionMatrices, rng: np.random.Generator,
-    max_restarts: int = MAX_RESTARTS, *, proposal=None,
+    max_restarts: int = MAX_RESTARTS,
 ) -> tuple[CirculationPlan, int, int, list[float]]:
     """Run build_cycle until it succeeds; returns (plan, failed attempts,
     waited, rotation_km), the last two as build_cycle returns them.
-
-    A proposal guides the first attempt only, which max_restarts does not
-    charge; the failed count, returned or raised, includes it.
 
     Raises ValueError, before any draw, for a negative max_restarts.
     """
     if max_restarts < 0:
         raise ValueError(f"max_restarts must be >= 0, got {max_restarts!r}")
-    attempts = max_restarts + 1 if proposal is None else max_restarts + 2
-    for failed in range(attempts):
+    for failed in range(max_restarts + 1):
         try:
-            plan, waited, rotation_km = build_cycle(instance, matrices, rng, proposal=proposal)
-            return plan, failed, waited, rotation_km
+            order, maint_after, waited, rotation_km = build_cycle(instance, matrices, rng)
+            return CirculationPlan(tuple(order), tuple(maint_after)), failed, waited, rotation_km
         except DeadEnd:
-            proposal = None
-    raise InfeasibleError(
-        f"construction dead-ended in {attempts} consecutive attempts; on multi-leg chains or "
-        f"under tight cycle windows no successor may fit, where a higher max_restarts may help")
+            pass
+    raise InfeasibleError.dead_ended(max_restarts + 1)
 
 
 def construct(
@@ -288,6 +295,6 @@ def construct(
     max_restarts: int = MAX_RESTARTS, maint_prob: float | None = None,
 ) -> CirculationPlan:
     """Build a feasible circulation plan, restarting on dead ends. maint_prob
-    stays only because bench/run.py still passes it (ROADMAP item 4)."""
+    stays only because bench/run.py still passes it (ROADMAP item 5)."""
     check_maint_prob(maint_prob)
     return construct_with_stats(instance, matrices, rng, max_restarts)[0]

@@ -26,10 +26,12 @@ the doubles of as many scalar calls, at a fraction of the cost.
 A particle whose rounded position does not move is not decoded again. Its
 position is the order its last decode realized, and proposing a realized
 order replays that attempt without a draw or a dead end, so the particle
-keeps its last (plan, fitness, feasibility). It is still re-keyed, because
-its coefficients move its velocity, and its plan goes through the same
-bookkeeping of bests as every other. So does a particle whose decode runs
-out of restarts after iteration 0: it keeps its last decode too.
+keeps its last (order, flags, fitness, feasibility). It is still re-keyed,
+because its coefficients move its velocity, and its plan goes through the
+same bookkeeping of bests as every other. So does a particle whose decode runs
+out of restarts after iteration 0: it keeps its last decode too. A decode is
+kept as lists, as build_cycle returns it; solve freezes a CirculationPlan
+only for the plan it reports.
 """
 
 from __future__ import annotations
@@ -43,7 +45,14 @@ from numbers import Integral
 import numpy as np
 
 from .connection import ConnectionMatrices, build_matrices
-from .constructor import MAX_RESTARTS, InfeasibleError, check_maint_prob, construct_with_stats
+from .constructor import (
+    MAX_RESTARTS,
+    DeadEnd,
+    InfeasibleError,
+    build_cycle,
+    check_maint_prob,
+    construct_with_stats,
+)
 from .plan import CirculationPlan, fitness_from_totals
 from .timetable import TimetableInstance
 
@@ -165,6 +174,34 @@ class _BlockUniforms:
         self.random = chain(self._tail, chain.from_iterable(self._blocks)).__next__
 
 
+def _decode(
+    instance: TimetableInstance, matrices: ConnectionMatrices, rng, max_restarts: int,
+    proposal=None,
+) -> tuple[tuple[list[int], list[int], int, list[float]], int]:
+    """One decode: (order, flags, waited, rotation_km) as build_cycle returns
+    them, and the failed attempts.
+
+    A proposal guides one attempt, which max_restarts does not charge; after
+    its dead end, or with no proposal, construct_with_stats runs up to
+    max_restarts + 1 unguided attempts on the same generator. The count,
+    returned or raised, includes a failed guided attempt.
+    """
+    guided = proposal is not None
+    if guided:
+        try:
+            return build_cycle(instance, matrices, rng, proposal=proposal), 0
+        except DeadEnd:
+            pass
+    try:
+        plan, failed, waited, rotation_km = construct_with_stats(instance, matrices, rng,
+                                                                 max_restarts)
+    except InfeasibleError as exc:
+        if not guided:
+            raise
+        raise InfeasibleError.dead_ended(exc.attempts + 1) from None
+    return (list(plan.order), list(plan.maint_after), waited, rotation_km), failed + guided
+
+
 def decode(
     position,
     instance: TimetableInstance,
@@ -175,10 +212,11 @@ def decode(
 ) -> tuple[CirculationPlan, int]:
     """Realize a position vector as a plan, repairing illegal entries.
 
-    construct_with_stats with the position as the proposal of its first
-    attempt; returns (plan, dead ends), a guided dead end included.
+    The position guides a first attempt that max_restarts does not charge;
+    returns (plan, dead ends), a guided dead end included.
     """
-    return construct_with_stats(instance, matrices, rng, max_restarts, proposal=position)[:2]
+    (order, flags, _, _), failed = _decode(instance, matrices, rng, max_restarts, position)
+    return CirculationPlan(tuple(order), tuple(flags)), failed
 
 
 @dataclass(frozen=True)
@@ -213,7 +251,7 @@ def solve(
     Only iteration 0 raises InfeasibleError: a later particle whose decode
     runs out of max_restarts keeps its last plan, and its failed attempts
     count in restarts. maint_prob stays only because bench/run.py still
-    passes it (ROADMAP item 4); it has no effect.
+    passes it (ROADMAP item 5); it has no effect.
     """
     check_maint_prob(maint_prob)
     if matrices is None:
@@ -240,10 +278,10 @@ def solve(
     streams = [_BlockUniforms(substream(key, 0, m), key, r[m]) for m in range(n_p)]
 
     best_feasible_fit = np.inf
-    best_feasible_plan: CirculationPlan | None = None
+    best_feasible = None  # the decode of the plan solve reports
     trace: list[TracePoint] = []
-    # each particle's last decode as (plan, fit, feasible), reused while it stays
-    decoded: list[tuple[CirculationPlan, float, bool] | None] = [None] * n_p
+    # each particle's last decode as (order, flags, fit, feasible), reused while it stays
+    decoded: list[tuple[list[int], list[int], float, bool] | None] = [None] * n_p
     stays = [False] * n_p
 
     # Iteration 0 builds every particle with the constructor; the bests start
@@ -271,29 +309,29 @@ def solve(
         orders = []
         for m, rng in enumerate(streams):
             if stays[m]:
-                plan, fit, feasible = decoded[m]
+                order, flags, fit, feasible = decoded[m]
             else:
                 try:
-                    plan, failed, waited, rotation_km = construct_with_stats(
-                        instance, matrices, rng, max_restarts, proposal=proposed[m] if k else None)
-                except InfeasibleError:
+                    (order, flags, waited, rotation_km), failed = _decode(
+                        instance, matrices, rng, max_restarts, proposed[m] if k else None)
+                except InfeasibleError as exc:
                     if not k:
                         raise
                     # keeps its last decode; every attempt failed, the guided one included
-                    restarts += max_restarts + 2
-                    plan, fit, feasible = decoded[m]
+                    restarts += exc.attempts
+                    order, flags, fit, feasible = decoded[m]
                 else:
                     restarts += failed
                     fit, feasible = fitness_from_totals(waited, rotation_km, params)
-                    decoded[m] = plan, fit, feasible
-            orders.append(plan.order)
+                    decoded[m] = order, flags, fit, feasible
+            orders.append(order)
             if fit < pbest_fit[m]:
                 pbest_fit[m] = fit
-                pbest_pos[m] = plan.order
+                pbest_pos[m] = order
             if feasible:
                 feasible_now += 1
                 if fit < best_feasible_fit:
-                    best_feasible_fit, best_feasible_plan = fit, plan
+                    best_feasible_fit, best_feasible = fit, decoded[m]
         positions[:] = orders  # repaired dimensions become the realized ids
 
         best = min(pbest_fit)
@@ -302,9 +340,9 @@ def solve(
             gbest_pos = pbest_pos[pbest_fit.index(best)].copy()  # the lowest index of equal bests
         trace.append(TracePoint(k, gbest_fit, feasible_now / n_p))
 
-    assert best_feasible_plan is not None  # initial swarm is feasible by construction
+    assert best_feasible is not None  # initial swarm is feasible by construction
     return SolveResult(
-        best_plan=best_feasible_plan,
+        best_plan=CirculationPlan(tuple(best_feasible[0]), tuple(best_feasible[1])),
         best_fitness=best_feasible_fit,
         trace=tuple(trace),
         restarts=restarts,

@@ -6,6 +6,7 @@ and shared by the criteria that grade it.
 import functools
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,7 +253,7 @@ def test_fig1_regression(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
 
-    inst = parse_timetable(open(FIG1).read())
+    inst = parse_timetable(Path(FIG1).read_text())
     matrices = build_matrices(inst)
     plan = parse_plan(plan_path.read_text())
     assert validate(plan, inst, matrices).ok

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from pathlib import Path
 
 import pytest
 
@@ -57,7 +58,7 @@ def test_solve_fig1_end_to_end(tmp_path, capsys):
                          "--particles", "10", "--iters", "40", "--seed", "3")
     assert code == 0
     assert "objective" in out
-    inst = parse_timetable(open(FIG1).read())
+    inst = parse_timetable(Path(FIG1).read_text())
     plan = parse_plan(plan_path.read_text())
     assert validate(plan, inst, build_matrices(inst)).ok
     trace = (tmp_path / "plan.txt.trace.csv").read_text().splitlines()
@@ -100,7 +101,7 @@ def test_solve_flow_imbalance_is_input_error(tmp_path, capsys):
 
 def test_solve_infinite_window_is_input_error(tmp_path, capsys):
     tt = tmp_path / "inf.txt"
-    text = open(FIG1).read()
+    text = Path(FIG1).read_text()
     assert "param l_cycle 4000.0\n" in text
     tt.write_text(text.replace("param l_cycle 4000.0\n", "param l_cycle inf\n"))
     code, out, err = run(capsys, "solve", str(tt), "--out", str(tmp_path / "p.txt"))
@@ -112,7 +113,7 @@ def test_solve_infinite_window_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_solve_non_finite_mileage_is_input_error(tmp_path, capsys, value):
     tt = tmp_path / "km.txt"
-    text = open(FIG1).read()
+    text = Path(FIG1).read_text()
     assert "train 2 A 09:40 B 11:20 280.0 100\n" in text
     tt.write_text(text.replace("train 2 A 09:40 B 11:20 280.0 100\n",
                                f"train 2 A 09:40 B 11:20 {value} 100\n"))
@@ -125,7 +126,7 @@ def test_solve_non_finite_mileage_is_input_error(tmp_path, capsys, value):
 
 def test_solve_non_ascii_clock_digit_is_input_error(tmp_path, capsys):
     tt = tmp_path / "sup.txt"
-    text = open(FIG1).read()
+    text = Path(FIG1).read_text()
     assert "train 2 A 09:40 B 11:20 280.0 100\n" in text
     tt.write_text(text.replace("train 2 A 09:40 ", "train 2 A 0\u2079:40 "), encoding="utf-8")
     plan_path = tmp_path / "p.txt"
@@ -466,7 +467,7 @@ def test_explicit_trace_path_and_constructor_knobs(tmp_path, capsys):
     assert code == 0
     assert trace_path.exists()
     assert not (tmp_path / "plan.txt.trace.csv").exists()
-    inst = parse_timetable(open(FIG1).read())
+    inst = parse_timetable(Path(FIG1).read_text())
     plan = parse_plan(plan_path.read_text())
     assert validate(plan, inst, build_matrices(inst)).ok
 
@@ -559,7 +560,7 @@ SWARM_SETTINGS = [
                          ids=[case[0] for case in SWARM_SETTINGS])
 def test_swarm_settings_precedence_in_solve(tmp_path, capsys, key, in_file, flag, by_flag):
     # the timetable's own param lines, off their defaults, lie under file and flags
-    text = open(FIG1).read().replace("param lambda 0.05", "param lambda 0.08")
+    text = Path(FIG1).read_text().replace("param lambda 0.05", "param lambda 0.08")
     text = text.replace("param omega2 0.01", "param omega2 0.02")
     tt = tmp_path / "tt.timetable"
     tt.write_text(text)

@@ -26,6 +26,22 @@ from emu_roster import (
 )
 from emu_roster.constructor import DeadEnd, _candidates, build_cycle
 from emu_roster.plan import CirculationPlan, fitness_from_totals
+from emu_roster.pso import _decode
+
+
+def build_plan(inst, m, rng, proposal=None):
+    """build_cycle with its order and flags as the CirculationPlan they form,
+    then its totals."""
+    order, maint_after, waited, rotation_km = build_cycle(inst, m, rng, proposal)
+    return CirculationPlan(tuple(order), tuple(maint_after)), waited, rotation_km
+
+
+def decode_with_stats(inst, m, rng, max_restarts, proposal):
+    """The swarm's decode, an attempt guided by the proposal and then
+    unguided restarts, as (plan, failed attempts, waited, rotation_km)."""
+    (order, maint_after, waited, rotation_km), failed = _decode(inst, m, rng, max_restarts,
+                                                                proposal)
+    return CirculationPlan(tuple(order), tuple(maint_after)), failed, waited, rotation_km
 
 
 def tricky_instance():
@@ -113,7 +129,7 @@ def test_paired_timetables_never_dead_end(pairs):
         for guided in (False, True):
             for _ in range(3):
                 vec = rng.integers(1, inst.n + 1, size=inst.n).tolist() if guided else None
-                plan, _, _ = build_cycle(inst, m, rng, vec)  # raises DeadEnd
+                plan, _, _ = build_plan(inst, m, rng, vec)  # raises DeadEnd
                 if not guided:
                     assert validate(plan, inst, m).ok
 
@@ -175,7 +191,7 @@ def test_maint_prob_is_deprecated_and_has_no_effect(fig1, fig1_matrices):
     # only construct keeps the keyword; construct_with_stats takes none
     with pytest.raises(TypeError, match="maint_prob"):
         construct_with_stats(fig1, fig1_matrices, np.random.default_rng(3), maint_prob=0.5)
-    with pytest.raises(TypeError):  # a fifth positional argument is no proposal
+    with pytest.raises(TypeError):  # nor a fifth positional argument
         construct_with_stats(fig1, fig1_matrices, np.random.default_rng(3), 100, 0.5)
     for maint_prob in (0.0, 0.5, 1.0):
         with pytest.warns(DeprecationWarning, match="maint_prob is deprecated"):
@@ -314,16 +330,15 @@ def overrun_instance():
 
 
 def _scored_builds(inst, m, rng, proposals):
-    """Every plan build_cycle and construct_with_stats return for each
+    """Every plan build_plan and decode_with_stats return for each
     proposal (None for an unguided attempt), with the totals they return.
-    A build_cycle dead end is skipped; construct_with_stats then restarts."""
+    A build_plan dead end is skipped; decode_with_stats then restarts."""
     for vec in proposals:
         try:
-            yield build_cycle(inst, m, rng, vec)
+            yield build_plan(inst, m, rng, vec)
         except DeadEnd:
             pass
-        plan, _, waited, rotation_km = construct_with_stats(
-            inst, m, rng, max_restarts=1000, proposal=vec)
+        plan, _, waited, rotation_km = decode_with_stats(inst, m, rng, 1000, vec)
         yield plan, waited, rotation_km
 
 
@@ -402,7 +417,7 @@ def test_split_is_exact_against_enumeration(omega2):
         m = build_matrices(inst)
         for vec in proposals:
             try:
-                plan, waited, rotation_km = build_cycle(inst, m, rng, vec)
+                plan, waited, rotation_km = build_plan(inst, m, rng, vec)
             except DeadEnd:
                 continue
             fit, feasible = fitness_from_totals(waited, rotation_km, inst.params)
@@ -421,8 +436,8 @@ def test_split_of_the_oracle_order_reaches_the_optimum():
             inst = generate_instance(pairs, 2, seed=seed)
             m = build_matrices(inst)
             exact = brute_force(inst, m)
-            plan, waited, rotation_km = build_cycle(inst, m, np.random.default_rng(seed),
-                                                    exact.best_plan.order)
+            plan, waited, rotation_km = build_plan(inst, m, np.random.default_rng(seed),
+                                                   exact.best_plan.order)
             assert plan.order == exact.best_plan.order
             fit = fitness_from_totals(waited, rotation_km, inst.params)[0]
             assert fit == objective_value(plan, inst, m)
@@ -460,22 +475,19 @@ def test_replaying_a_realized_order_takes_it_without_a_draw(fig1, fig1_matrices)
         if inst is overrun:
             proposals.append([1, 2, 3, 4, 5, 6])
         for vec in proposals:
-            plan, failed, waited, rotation_km = construct_with_stats(
-                inst, m, rng, max_restarts=1000, proposal=vec)
+            plan, failed, waited, rotation_km = decode_with_stats(inst, m, rng, 1000, vec)
             # the order with a few entries moved, as a swarm step proposes it
             near = list(plan.order)
             for d in rng.integers(0, n, size=3):
                 near[d] = int(rng.integers(1, n + 1))
-            near_plan, _, near_waited, near_km = construct_with_stats(
-                inst, m, rng, max_restarts=1000, proposal=near)
+            near_plan, _, near_waited, near_km = decode_with_stats(inst, m, rng, 1000, near)
             built = [(plan, waited, rotation_km), (near_plan, near_waited, near_km)]
             try:
-                built.append(build_cycle(inst, m, rng, vec))
+                built.append(build_plan(inst, m, rng, vec))
             except DeadEnd:
                 pass
             for p, w, km in built:
-                assert construct_with_stats(inst, m, NoDraw(), 0, proposal=list(p.order)) == (
-                    p, 0, w, km)
+                assert decode_with_stats(inst, m, NoDraw(), 0, list(p.order)) == (p, 0, w, km)
                 replayed += 1
                 overruns += not fitness_from_totals(w, km, inst.params)[1]
             fallbacks += vec is not None and failed > 0
@@ -564,17 +576,16 @@ def _golden_proposals(n, rng):
 
 
 def _build_outcomes(inst, m, rng, proposals):
-    """One line per build_cycle and construct_with_stats call: the plan and
+    """One line per build_cycle and decode_with_stats call: the plan and
     totals (and failed attempts), or the exception's type and message."""
     for vec in proposals:
         try:
-            plan, waited, rotation_km = build_cycle(inst, m, rng, vec)
-            yield repr((plan.order, plan.maint_after, waited, rotation_km))
+            order, maint_after, waited, rotation_km = build_cycle(inst, m, rng, vec)
+            yield repr((tuple(order), tuple(maint_after), waited, rotation_km))
         except (DeadEnd, InfeasibleError) as exc:
             yield f"{type(exc).__name__}: {exc}"
         try:
-            plan, failed, waited, rotation_km = construct_with_stats(
-                inst, m, rng, max_restarts=30, proposal=vec)
+            plan, failed, waited, rotation_km = decode_with_stats(inst, m, rng, 30, vec)
             yield repr((plan.order, plan.maint_after, failed, waited, rotation_km))
         except InfeasibleError as exc:
             yield f"{type(exc).__name__}: {exc}"

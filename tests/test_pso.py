@@ -28,6 +28,7 @@ from emu_roster import (
 )
 from emu_roster import pso
 from emu_roster.constructor import DeadEnd, build_cycle, construct_with_stats
+from emu_roster.plan import CirculationPlan
 from emu_roster.pso import BLOCK, _BlockUniforms, _philox_key, substream
 
 CFG = SwarmConfig(n_particles=8, k_max=40, seed=5)
@@ -318,11 +319,11 @@ def test_reset_source_decodes_as_fresh_substream(name, fig1, chain):
     for k in range(1, 61):
         vec = rng.integers(1, n + 1, size=n).tolist()
         src.reset(k, 0)
-        got = construct_with_stats(inst, m, src, 100, proposal=vec)
+        got = pso._decode(inst, m, src, 100, vec)
         ref = substream(key, k, 0)
         ref.random(2 * n)
         counter = _CountingUniforms(ref)
-        assert got == construct_with_stats(inst, m, counter, 100, proposal=vec)
+        assert got == pso._decode(inst, m, counter, 100, vec)
         beyond_row += counter.calls > n
     assert beyond_row if name == "fig1" else beyond_row == 0
 
@@ -365,7 +366,8 @@ def test_decode_counts_dead_ends(fig1, fig1_matrices):
         vec = rng.integers(1, inst.n + 1, size=inst.n)
         ref_rng = np.random.default_rng(i)
         try:
-            expected = build_cycle(inst, m, ref_rng, vec)[0], 0
+            order, maint_after, _, _ = build_cycle(inst, m, ref_rng, vec)
+            expected = CirculationPlan(tuple(order), tuple(maint_after)), 0
         except DeadEnd:
             plan, failed, _, _ = construct_with_stats(inst, m, ref_rng, 100)
             expected = plan, failed + 1
@@ -565,20 +567,28 @@ def test_golden_solve_large_shaped_run():
 @pytest.mark.parametrize("name", ["n6-default", "one-particle", "solve-large"])
 def test_particles_that_stay_skip_their_decode(name, monkeypatch):
     # a particle whose rounded position does not move keeps its last decode,
-    # and only such a particle: one construction per particle and iteration
-    # less one per stayer, and the same run. The goldens alone do not see a
-    # stale plan reused for a particle that moved.
+    # and only such a particle: one decode per particle and iteration less one
+    # per stayer, and the same run. A decode is an iteration-0 construction or
+    # a guided build_cycle call, which passes its proposal by keyword; a
+    # construction after the first guided call follows a guided dead end. The
+    # goldens alone do not see a stale plan reused for a particle that moved.
     if name == "solve-large":
         run, sha, kwargs = SOLVE_LARGE, GOLDEN_SOLVE_LARGE, {"max_restarts": 1000}
     else:
         *run, sha = GOLDEN_SWARM[name]
         kwargs = {}
-    calls = stayers = 0
+    calls = guided = stayers = 0
 
     def counting(*args, **kw):
         nonlocal calls
-        calls += 1
+        calls += not guided
         return construct_with_stats(*args, **kw)
+
+    def counting_guided(*args, **kw):
+        nonlocal calls, guided
+        assert kw["proposal"] is not None
+        calls, guided = calls + 1, guided + 1
+        return build_cycle(*args, **kw)
 
     def counting_stayers(x, v_new, n):
         nonlocal stayers
@@ -587,6 +597,7 @@ def test_particles_that_stay_skip_their_decode(name, monkeypatch):
         return moved
 
     monkeypatch.setattr(pso, "construct_with_stats", counting)
+    monkeypatch.setattr(pso, "build_cycle", counting_guided)
     monkeypatch.setattr(pso, "update_position", counting_stayers)
     assert _swarm_sha(*run, **kwargs) == sha
     swarm = SwarmConfig(**dict(run[3]))
@@ -619,19 +630,35 @@ def test_solve_rejects_out_of_range_knobs(fig1, fig1_matrices, knob):
 def _failed_attempts(monkeypatch):
     """Spy on solve's decodes: the failed attempts of each, in call order, as
     returned or as the error counts them, or None for an iteration-0
-    construction that ran out of restarts."""
+    construction that ran out of restarts. A guided decode is a build_cycle
+    call; after a dead end its construction's attempts follow, and the
+    guided one counts among them."""
     failed = []
+    after_dead_end = False
 
-    def spy(*args, proposal=None):
+    def guided(*args, **kw):
+        nonlocal after_dead_end
         try:
-            out = construct_with_stats(*args, proposal=proposal)
-        except InfeasibleError as exc:
-            attempts = int(re.search(r"in (\d+) consecutive attempts", str(exc)).group(1))
-            failed.append(None if proposal is None else attempts)
+            out = build_cycle(*args, **kw)
+        except DeadEnd:
+            after_dead_end = True
             raise
-        failed.append(out[1])
+        failed.append(0)
         return out
 
+    def spy(*args, **kw):
+        nonlocal after_dead_end
+        fallback, after_dead_end = after_dead_end, False
+        try:
+            out = construct_with_stats(*args, **kw)
+        except InfeasibleError as exc:
+            attempts = int(re.search(r"in (\d+) consecutive attempts", str(exc)).group(1))
+            failed.append(attempts + 1 if fallback else None)
+            raise
+        failed.append(out[1] + fallback)
+        return out
+
+    monkeypatch.setattr(pso, "build_cycle", guided)
     monkeypatch.setattr(pso, "construct_with_stats", spy)
     return failed
 
@@ -655,3 +682,29 @@ def test_a_construction_out_of_restarts_in_iteration_0_still_raises(
     with pytest.raises(InfeasibleError, match="dead-ended in 4 consecutive attempts"):
         solve(fig1, fig1_matrices, SwarmConfig(n_particles=8, k_max=40, seed=1), max_restarts=3)
     assert failed[-1] is None
+
+
+# The restart path, which the goldens above never take: on fig1 at
+# max_restarts=10 guided decodes dead-end often, 339 attempts fail in all, and
+# two decodes after iteration 0 run out of restarts and keep their particle's
+# last plan. SHA-256 as in _swarm_sha, then best_fitness and restarts.
+GOLDEN_RESTART_PATH = ("612936c2a06e022ccd76273d49f9812c409e19eacf36b2011bf235e3826e1e94",
+                       2298.2, 339)
+
+
+def test_golden_restart_path(fig1, fig1_matrices, monkeypatch):
+    failed = _failed_attempts(monkeypatch)
+    res = solve(fig1, fig1_matrices, SwarmConfig(n_particles=10, k_max=20, seed=0),
+                max_restarts=10)
+    text = render_plan(res.best_plan, fig1, fig1_matrices) + repr(res.trace) + str(res.restarts)
+    sha = hashlib.sha256(text.encode()).hexdigest()
+    assert (sha, res.best_fitness, res.restarts) == GOLDEN_RESTART_PATH
+    assert failed.count(12) == 2  # the guided attempt and max_restarts + 1 more
+    assert sum(failed) == res.restarts
+
+
+def test_golden_restart_path_seed_2_raises_in_iteration_0(fig1, fig1_matrices):
+    # 11 attempts: max_restarts + 1 with no guided one, so an iteration-0 construction
+    with pytest.raises(InfeasibleError, match="dead-ended in 11 consecutive attempts"):
+        solve(fig1, fig1_matrices, SwarmConfig(n_particles=10, k_max=20, seed=2),
+              max_restarts=10)

@@ -394,7 +394,7 @@ def generate_instance(
         out = Train(next_id, depot, out_dep, station, out_dep + travel, mileage, travel)
         back_dep = out.arr_time + turnaround
         back = Train(next_id + 1, station, back_dep, depot, back_dep + travel, mileage, travel)
-        # the rollover rule of connection.build_matrices
+        # the rollover rule of connection._wait_table, restated before any network exists
         wait = turnaround if turnaround >= params.t_connect else turnaround + MINUTES_PER_DAY
         if 2 * mileage > params.max_mileage or 2 * travel + wait > params.max_time:
             raise ValueError(

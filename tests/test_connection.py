@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -13,6 +14,7 @@ from emu_roster import (
     build_matrices,
     generate_instance,
 )
+from emu_roster.connection import _WAITS, _wait_table
 
 T_CONNECT = 20
 
@@ -159,6 +161,77 @@ def test_golden_matrices(case):
     none = np.array([[w is None for w in row] for row in m.conn_rows])
     assert np.array_equal(np.isnan(m.conn_time), none)
     assert np.array_equal(m.conn_time[~none], [w for row in m.conn_rows for w in row if w is not None])
+
+
+# t_connect at both ends of its range, the default, the generator's largest
+# turnaround, and a whole float, which ModelParams accepts
+TABLE_T_CONNECT = (1, 20, 180, 1439, 1440, 30.0)
+
+
+def rule(gap, t_connect):
+    """The rollover rule as documented: the gap taken modulo a day, plus a day
+    when that falls below t_connect, as the _WAITS object of that value."""
+    wait = gap % 1440
+    return _WAITS[wait + 1440 * (wait < t_connect)]
+
+
+@pytest.mark.parametrize("t_connect", TABLE_T_CONNECT)
+def test_wait_table_is_the_modular_rule(t_connect):
+    table = _wait_table(t_connect)
+    assert len(table) == 2880
+    for gap in range(-1439, 1440):
+        assert table[gap + 1440] is rule(gap, t_connect), gap
+
+
+def pairwise_rows(inst):
+    """conn_rows restated as a walk over all n x n pairs with the rule above."""
+    t_connect = inst.params.t_connect
+    return [[rule(vj.dep_time - vi.arr_time, t_connect) if vi.arr_station == vj.dep_station
+             else None for vj in inst.trains] for vi in inst.trains]
+
+
+@pytest.mark.parametrize("t_connect", TABLE_T_CONNECT)
+def test_rows_match_a_pairwise_walk(fig1, t_connect):
+    # fig1 and paired timetables of n = 6, 8, 10, 100 and 500
+    for inst in (fig1, generate_instance(3, 2, 1), generate_instance(4, 2, 3),
+                 generate_instance(5, 3, 2), generate_instance(50, 4, 2),
+                 generate_instance(250, 6, 3)):
+        inst = inst.with_params(t_connect=t_connect)
+        rows = build_matrices(inst).conn_rows
+        expected = pairwise_rows(inst)
+        assert rows == expected
+        # the very same int objects, not equal copies
+        assert all(a is b for row, exp in zip(rows, expected) for a, b in zip(row, exp))
+
+
+_REFUSAL = re.compile(r"pair 1 \(trains 1 and 2\) needs [\d.]+ km and (\d+) min")
+
+
+@pytest.mark.parametrize("t_connect", [20, 180, 1440])
+def test_generator_pair_check_agrees_with_the_network(t_connect):
+    # generate_instance restates the rollover rule for each pair's turnaround
+    # before any network exists; its minutes must be the network's. One pair
+    # per seed, so the window can be set at that pair's minutes.
+    turnarounds = set()
+    for seed in range(300):
+        inst = generate_instance(1, 1, seed, ModelParams(t_connect=t_connect))
+        out, back = inst.trains
+        turnarounds.add(back.dep_time - out.arr_time)
+        minutes = 2 * out.travel_time + build_matrices(inst).conn_rows[0][1]
+        assert minutes <= inst.params.max_time
+        # a time window of exactly those minutes accepts the pair; the window
+        # takes no draw, so the same trains come out
+        exact = ModelParams(t_connect=t_connect, lam=0.0, t_cycle=minutes)
+        assert generate_instance(1, 1, seed, exact).trains == inst.trains
+        # one minute less refuses it, naming those minutes
+        tight = ModelParams(t_connect=t_connect, lam=0.0, t_cycle=minutes - 1)
+        with pytest.raises(ValueError) as refused:
+            generate_instance(1, 1, seed, tight)
+        match = _REFUSAL.match(str(refused.value))
+        assert match and int(match[1]) == minutes, str(refused.value)
+    # the seeds reach both ends of the 20..180 turnarounds, where a rule that
+    # compared with > instead of >= would disagree at t_connect 20 and 180
+    assert {20, 180} <= turnarounds
 
 
 def test_rows_share_wait_objects():

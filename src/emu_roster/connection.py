@@ -4,42 +4,22 @@ Two trains can connect only when the first arrives where the second departs.
 The connection time is the departure-minus-arrival gap taken modulo a day,
 pushed to the next service day (+1440 min) whenever that falls below the
 minimum turnaround. Pairs meeting at the depot-adjacent station may
-additionally carry a maintenance arc. _wait_table is the one place this rule
-is written and build_matrices the one place it is applied; everything else
-reads its result.
+additionally carry a maintenance arc. timetable._wait_table is the one place
+this rule is written, and build_matrices applies it to every connecting pair;
+everything else reads the network, except generate_instance, which looks up
+the wait of each pair it checks in the same table before any network exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import nan
 from typing import NamedTuple
 
 import numpy as np
 
-from .timetable import MINUTES_PER_DAY, TimetableInstance
-
-# Every wait lies in [0, 2 * 1440): a gap within one day plus at most one day.
-# build_matrices stores the int objects of this tuple, so the n x n waits of
-# a network share at most 2,880 objects instead of holding one each.
-_WAITS = tuple(range(2 * MINUTES_PER_DAY))
-
-
-@lru_cache(maxsize=64)
-def _wait_table(t_connect: int) -> tuple[int, ...]:
-    """The wait for each gap dep - arr in (-1440, 1440), at entry gap + 1440.
-
-    The wait is gap mod 1440, plus 1440 when that falls below t_connect. A
-    gap below zero reaches the next day's departure and one of zero or more
-    the same day's, so each half of the table is the same run: the rolled
-    waits 1440 .. 1440 + t_connect - 1, then the direct ones t_connect ..
-    1439. The entries are _WAITS' own objects. Cached by t_connect: building
-    one costs more than the whole pair walk of a ten-train network.
-    """
-    t = int(t_connect)  # ModelParams takes a whole float such as 30.0
-    day = MINUTES_PER_DAY
-    return _WAITS[day:day + t] + _WAITS[t:day + t] + _WAITS[t:day]
+from .timetable import MINUTES_PER_DAY, TimetableInstance, _wait_table
 
 
 # The reach of a station whose departures are mixed, some depot-bound and
@@ -50,12 +30,11 @@ _MIXED = (nan, nan)
 class TrainTables(NamedTuple):
     """Per-train facts the constructor and the plan walk read at every step,
     as plain lists indexed by train id (entry 0 is padding, so train k sits at
-    entry k)."""
+    entry k). Where a train arrives is ConnectionMatrices.arr_slot."""
 
     mileage: list[float]
     travel: list[int]
     arr_at_depot: list[bool]
-    arr_station: list[str]
 
 
 @dataclass(frozen=True)
@@ -172,7 +151,6 @@ def build_matrices(instance: TimetableInstance) -> ConnectionMatrices:
         mileage=[0.0] + [t.mileage for t in trains],
         travel=[0] + [t.travel_time for t in trains],
         arr_at_depot=[False] + [t.arr_station == depot for t in trains],
-        arr_station=[""] + [t.arr_station for t in trains],
     )
     mileage, travel, at_depot = tables.mileage, tables.travel, tables.arr_at_depot
     longest_wait = t_connect + MINUTES_PER_DAY - 1

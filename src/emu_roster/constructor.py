@@ -67,7 +67,7 @@ def _candidates(free: list[int], acc_l: float, acc_t: float, conn_row: list[int 
     """Split free, the unassigned departures (ascending ids) of the station
     where the previous train arrived, in one pass into the trains that fit
     both windows: those heading away from the depot and the depot-bound ones."""
-    mileage, travel, arr_at_depot, _ = tables
+    mileage, travel, arr_at_depot = tables
     away: list[int] = []
     usable: list[int] = []
     for j in free:
@@ -166,7 +166,7 @@ def build_cycle(
             f"train {instance.oversize} alone exceeds a maintenance cycle allowance; no plan exists"
         )
     tables = matrices.tables
-    mileage, travel, arr_at_depot, _ = tables
+    mileage, travel, arr_at_depot = tables
     params = instance.params
     max_l, max_t = params.max_mileage, params.max_time
     # dropping the cut on a depot arc that waits w pays when omega1 * w < pays

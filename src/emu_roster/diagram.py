@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .connection import ConnectionMatrices
-from .plan import CirculationPlan, InvalidPlanError, validate
+from .plan import CirculationPlan, _valid_walk, validate
 from .timetable import TimetableInstance
 
 
@@ -14,16 +14,15 @@ def render_dot(
 
     Ordinary connections are solid edges labelled with the waiting minutes;
     maintenance arcs are dashed. Node order follows train ids, edge order the
-    cycle, so output is deterministic.
+    cycle, so output is deterministic. A station name's backslashes and
+    double quotes are escaped in the node labels. Raises InvalidPlanError on
+    a plan that fails validate (see plan._valid_walk).
     """
-    report = validate(plan, instance, matrices)
-    if not report.ok:
-        raise InvalidPlanError(
-            f"cannot draw an invalid plan: {sorted(report.tags())}"
-        )
+    _valid_walk(validate(plan, instance, matrices))
+    esc = {s: s.replace("\\", "\\\\").replace('"', '\\"') for s in instance.stations}
     lines = ["digraph circulation {", "  rankdir=LR;"]
     for t in instance.trains:
-        lines.append(f'  t{t.id} [label="{t.id}: {t.dep_station}→{t.arr_station}"];')
+        lines.append(f'  t{t.id} [label="{t.id}: {esc[t.dep_station]}→{esc[t.arr_station]}"];')
     conn_rows = matrices.conn_rows  # validate passed, so every ordinary arc connects
     n = plan.n
     for d in range(n):

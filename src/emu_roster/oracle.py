@@ -43,7 +43,8 @@ def brute_force(
     params = instance.params
     max_l, max_t = params.max_mileage, params.max_time
     rows = matrices.conn_rows
-    mileage, travel, arr_at_depot, arr_station = matrices.tables
+    mileage, travel, arr_at_depot = matrices.tables
+    leaving, arr_slot = tuple(matrices.departures.values()), matrices.arr_slot  # by station slot
 
     v_star = matrices.departures[instance.maint_station][0]  # ascending ids
 
@@ -107,7 +108,7 @@ def brute_force(
                 evaluate_cycle(path)
             return
         i = path[-1]
-        for j in matrices.departures[arr_station[i]]:
+        for j in leaving[arr_slot[i]]:
             if j in used:
                 continue
             if arr_at_depot[i]:

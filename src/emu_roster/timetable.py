@@ -11,11 +11,32 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 MINUTES_PER_DAY = 1440
+
+# Every wait lies in [0, 2 * 1440): a gap within one day plus at most one day.
+# build_matrices stores the int objects of this tuple, so the n x n waits of
+# a network share at most 2,880 objects instead of holding one each.
+_WAITS = tuple(range(2 * MINUTES_PER_DAY))
+
+
+@lru_cache(maxsize=64)
+def _wait_table(t_connect: int) -> tuple[int, ...]:
+    """The wait for each gap dep - arr in (-1440, 1440), at entry gap + 1440:
+    the one place the rollover rule is written.
+
+    The wait is gap mod 1440, plus 1440 when that falls below t_connect. A
+    gap below zero reaches the next day's departure and one of zero or more
+    the same day's, so each half of the table is the same run: the rolled
+    waits 1440 .. 1440 + t_connect - 1, then the direct ones t_connect ..
+    1439. The entries are _WAITS' own objects. Cached by t_connect: building
+    one costs more than the whole pair walk of a ten-train network.
+    """
+    day = MINUTES_PER_DAY
+    return _WAITS[day:day + t_connect] + _WAITS[t_connect:day + t_connect] + _WAITS[t_connect:day]
 
 
 class TimetableError(ValueError):
@@ -44,7 +65,8 @@ class ModelParams:
     mileage slack; beta multiplies mileage overrun in the penalized fitness.
     l_cycle=4000 km and t_cycle=2880 min are the routine-inspection limits
     for Chinese high-speed EMUs; the remaining defaults are ours. Every value
-    must be finite, and t_connect a whole number of minutes.
+    must be finite, and t_connect a whole number of minutes, which is stored
+    as an int (30.0 becomes 30).
     """
 
     l_cycle: float = 4000.0
@@ -61,11 +83,13 @@ class ModelParams:
             if not math.isfinite(value):
                 # an infinite window or weight makes every fitness inf or NaN
                 raise TimetableError(f"{key} must be finite, got {value!r}")
-        if isinstance(self.t_connect, bool) or self.t_connect != int(self.t_connect):
+        t_connect = int(self.t_connect)
+        if isinstance(self.t_connect, bool) or self.t_connect != t_connect:
             # a fractional turnaround renders to a line parse_timetable refuses
             raise TimetableError(
                 f"t_connect must be an integer number of minutes, got {self.t_connect!r}"
             )
+        object.__setattr__(self, "t_connect", t_connect)
         if self.l_cycle <= 0 or self.t_cycle <= 0:
             raise TimetableError("cycle limits must be positive")
         if not 0 < self.t_connect <= MINUTES_PER_DAY:
@@ -179,8 +203,9 @@ class TimetableInstance:
 
 
 def check_instance(trains, maint_station, params) -> None:
-    """Enforce instance-level invariants, a depot some train serves among
-    them; warn on tolerated oddities."""
+    """Enforce instance-level invariants, among them a depot some train
+    serves and station names a file line can hold (one token, no '#'); warn
+    on tolerated oddities."""
     if not trains:
         raise TimetableError("no trains")
     if not any(maint_station in (t.dep_station, t.arr_station) for t in trains):
@@ -201,15 +226,17 @@ def check_instance(trains, maint_station, params) -> None:
         arr_counts[t.arr_station] = arr_counts.get(t.arr_station, 0) + 1
         dep_counts[t.dep_station] = dep_counts.get(t.dep_station, 0) + 1
     for s in sorted(arr_counts.keys() | dep_counts.keys()):
+        if s.split() != [s] or "#" in s:  # a file line could not hold it
+            raise TimetableError(f"station name {s!r} must be one token with no '#'")
         a, d = arr_counts.get(s, 0), dep_counts.get(s, 0)
         if a != d:
             raise TimetableError(f"flow imbalance at station {s}: {a} arrivals vs {d} departures")
 
     for t in trains:
-        if t.travel_time != (t.arr_time - t.dep_time) % MINUTES_PER_DAY:
+        if t.travel_time != t.arr_time - t.dep_time:
             warnings.warn(
                 f"train {t.id}: travel_time {t.travel_time} differs from timetable span "
-                f"{(t.arr_time - t.dep_time) % MINUTES_PER_DAY}",
+                f"{t.arr_time - t.dep_time}",
                 TimetableWarning,
                 stacklevel=2,
             )
@@ -325,16 +352,10 @@ def parse_timetable(text: str) -> TimetableInstance:
         else:
             raise TimetableError(f"unknown directive {kind!r}", lineno, _col(line, kind))
 
-    if not trains:
-        raise TimetableError("no trains")
     if len(maint) != 1:
         raise TimetableError(f"exactly one maint_station line required, got {len(maint)}")
 
-    kwargs = {param_field(k): v for k, v in params_seen.items()}
-    t_connect = kwargs.get("t_connect")
-    if t_connect is not None and t_connect.is_integer():  # ModelParams words every refusal
-        kwargs["t_connect"] = int(t_connect)
-    params = ModelParams(**kwargs)
+    params = ModelParams(**{param_field(k): v for k, v in params_seen.items()})
 
     trains.sort(key=lambda t: t.id)
     return TimetableInstance(trains=tuple(trains), maint_station=maint[0], params=params)
@@ -342,9 +363,7 @@ def parse_timetable(text: str) -> TimetableInstance:
 
 def render_timetable(instance: TimetableInstance) -> str:
     """Render an instance to its file form. Byte-stable: parse(render(x)) == x."""
-    values = {key: getattr(instance.params, param_field(key)) for key in PARAM_KEYS}
-    values["t_connect"] = int(values["t_connect"])  # integral by ModelParams' check
-    lines = [f"param {key} {value!r}" for key, value in values.items()]
+    lines = [f"param {key} {getattr(instance.params, param_field(key))!r}" for key in PARAM_KEYS]
     lines.append(f"maint_station {instance.maint_station}")
     for t in instance.trains:  # already sorted by id
         lines.append(
@@ -394,8 +413,7 @@ def generate_instance(
         out = Train(next_id, depot, out_dep, station, out_dep + travel, mileage, travel)
         back_dep = out.arr_time + turnaround
         back = Train(next_id + 1, station, back_dep, depot, back_dep + travel, mileage, travel)
-        # the rollover rule of connection._wait_table, restated before any network exists
-        wait = turnaround if turnaround >= params.t_connect else turnaround + MINUTES_PER_DAY
+        wait = _wait_table(params.t_connect)[turnaround + MINUTES_PER_DAY]
         if 2 * mileage > params.max_mileage or 2 * travel + wait > params.max_time:
             raise ValueError(
                 f"pair {next_id // 2 + 1} (trains {out.id} and {back.id}) needs "

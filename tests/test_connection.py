@@ -14,7 +14,8 @@ from emu_roster import (
     build_matrices,
     generate_instance,
 )
-from emu_roster.connection import _WAITS, _wait_table
+from emu_roster.connection import _wait_table
+from emu_roster.timetable import _WAITS
 
 T_CONNECT = 20
 
@@ -177,6 +178,8 @@ def rule(gap, t_connect):
 
 @pytest.mark.parametrize("t_connect", TABLE_T_CONNECT)
 def test_wait_table_is_the_modular_rule(t_connect):
+    t_connect = ModelParams(t_connect=t_connect).t_connect  # the table is keyed by this int
+    assert type(t_connect) is int
     table = _wait_table(t_connect)
     assert len(table) == 2880
     for gap in range(-1439, 1440):

@@ -276,7 +276,8 @@ def test_look_ahead_agrees_with_candidates(case, fig1):
     scan must then keep every train, all of one kind."""
     inst, seed = _look_ahead_case(case, fig1)
     m = build_matrices(inst)
-    mileage, travel, arr_at_depot, arr_station = m.tables
+    mileage, travel, arr_at_depot = m.tables
+    arr_station = [""] + [t.arr_station for t in inst.trains]  # by id, entry 0 padding
     for s, ids in m.departures.items():
         reach_km, reach_min = m.arr_reach[arr_station.index(s)]  # a train arriving at s
         if len({arr_at_depot[j] for j in ids}) > 1:

@@ -21,6 +21,7 @@ from emu_roster import (
     generate_instance,
     objective_value,
     parse_plan,
+    parse_timetable,
     plan_summary,
     render_dot,
     render_plan,
@@ -315,6 +316,25 @@ def test_objective_rejects_invalid_plan():
     inst = pair_instance(mileage=2200.0)
     with pytest.raises(InvalidPlanError):
         objective_value(PAIR_PLAN, inst, build_matrices(inst))
+
+
+def test_objective_and_diagram_refuse_with_one_text(fig1, fig1_matrices):
+    # maintenance after every train is ineligible away from the depot
+    plan = CirculationPlan(order=tuple(range(1, 13)), maint_after=(1,) * 12)
+    texts = []
+    for reader in (objective_value, render_dot):
+        with pytest.raises(InvalidPlanError) as refusal:
+            reader(plan, fig1, fig1_matrices)
+        texts.append(str(refusal.value))
+    assert texts == ["invalid plan: ['EQ10']"] * 2
+
+
+def test_dot_escapes_quotes_and_backslashes_in_station_names(fig1_text, fig1_plan):
+    text = fig1_text.replace(" A ", ' A"x ').replace(" B ", " B\\y ")
+    inst = parse_timetable(text)
+    dot = render_dot(fig1_plan, inst, build_matrices(inst))
+    assert '  t1 [label="1: C→A\\"x"];\n' in dot
+    assert '  t2 [label="2: A\\"x→B\\\\y"];\n' in dot
 
 
 def test_fig1_objective_hand_value(fig1, fig1_matrices, fig1_plan):

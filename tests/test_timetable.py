@@ -58,6 +58,14 @@ def test_empty_file_is_no_trains():
         parse_timetable("maint_station C\n")
 
 
+@pytest.mark.parametrize("name", ["A B", "A#1", ""], ids=["space", "hash", "empty"])
+def test_station_name_no_file_line_holds_is_refused(name):
+    # render_timetable would write a train line that parse_timetable cannot read back
+    trains = (Train(1, "C", 480, name, 600, 300.0, 120), Train(2, name, 660, "C", 780, 300.0, 120))
+    with pytest.raises(TimetableError, match=re.escape(f"station name {name!r} must be one token")):
+        TimetableInstance(trains=trains, maint_station="C")
+
+
 def test_flow_imbalance_rejected():
     # A: two arrivals, one departure
     with pytest.raises(TimetableError, match="flow imbalance"):
@@ -191,7 +199,9 @@ def test_t_connect_at_most_one_day():
 def test_t_connect_must_be_whole_minutes(value):
     with pytest.raises(TimetableError, match=r"^t_connect must be an integer number of minutes"):
         ModelParams(t_connect=value)
-    # a whole float is accepted and renders as the integer parse_timetable reads
+    # a whole float is accepted, stored as an int, and renders as the integer
+    # parse_timetable reads
+    assert type(ModelParams(t_connect=30.0).t_connect) is int
     inst = generate_instance(3, 2, 1, ModelParams(t_connect=30.0, lam=0.1))
     text = render_timetable(inst)
     assert "\nparam t_connect 30\n" in text

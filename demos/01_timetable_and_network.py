@@ -23,7 +23,8 @@ print(matrices.dump_tsv("conn"))
 print("--- maintenance eligibility (1 = this handover can host a depot visit) ---")
 print(matrices.dump_tsv("theta"))
 
-# conn_rows holds the same network as plain lists, None where no connection is
+# conn_rows, built on first use, holds the same network as plain lists, None
+# where no connection is
 waits = [w for row in matrices.conn_rows for w in row if w is not None]
 print(f"{len(waits)} feasible connections out of {instance.n * (instance.n - 1)} ordered pairs")
 print(f"waiting minutes range: {min(waits)} .. {max(waits)}")

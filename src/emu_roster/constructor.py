@@ -36,7 +36,7 @@ from itertools import compress
 
 import numpy as np
 
-from .connection import ConnectionMatrices, TrainTables
+from .connection import ConnectionMatrices
 from .plan import CirculationPlan
 from .timetable import ModelParams, TimetableInstance
 
@@ -62,16 +62,18 @@ class DeadEnd(Exception):
     """Internal: the current attempt painted itself into a corner."""
 
 
-def _candidates(free: list[int], acc_l: float, acc_t: float, conn_row: list[int | None],
-                tables: TrainTables, max_l: float, max_t: float) -> tuple[list[int], list[int]]:
+def _candidates(free: list[int], acc_l: float, acc_t: float, prev: int,
+                matrices: ConnectionMatrices, max_l: float, max_t: float
+                ) -> tuple[list[int], list[int]]:
     """Split free, the unassigned departures (ascending ids) of the station
-    where the previous train arrived, in one pass into the trains that fit
-    both windows: those heading away from the depot and the depot-bound ones."""
-    mileage, travel, arr_at_depot = tables
+    where train prev arrived, in one pass into the trains that fit both
+    windows: those heading away from the depot and the depot-bound ones."""
+    mileage, travel, arr_at_depot = matrices.tables
+    waits, dep_time, arr = matrices.waits, matrices.dep_time, matrices.arr_shifted[prev]
     away: list[int] = []
     usable: list[int] = []
     for j in free:
-        if acc_l + mileage[j] <= max_l and acc_t + conn_row[j - 1] + travel[j] <= max_t:
+        if acc_l + mileage[j] <= max_l and acc_t + waits[dep_time[j] - arr] + travel[j] <= max_t:
             if arr_at_depot[j]:
                 usable.append(j)
             else:
@@ -93,7 +95,7 @@ def _drop_paying_cuts(order: list[int], maint_after: list[int], waited: int,
     own: from each piece a forward scan joins the next ones until a window
     breaks. Ties keep the cut. Mileage is summed as validate's walk sums it.
     """
-    conn_rows = matrices.conn_rows
+    table, dep_time, arr_shifted = matrices.waits, matrices.dep_time, matrices.arr_shifted
     mileage, travel = matrices.tables.mileage, matrices.tables.travel
     max_l, max_t = params.max_mileage, params.max_time
     omega1, pays = params.omega1, params.omega2 * max_l
@@ -105,7 +107,7 @@ def _drop_paying_cuts(order: list[int], maint_after: list[int], waited: int,
         while k < len(joins) and joins[k] == t:  # the run is pieces s..t
             k, t = k + 1, t + 1
         cuts = ends[s:t]
-        waits = [conn_rows[order[e] - 1][order[e + 1] - 1] for e in cuts]
+        waits = [table[dep_time[order[e + 1]] - arr_shifted[order[e]]] for e in cuts]
         # from piece s on, best[i]: the least fitness change over i pieces; first[i]
         # and km[i]: the first piece and the mileage of the rotation ending there
         best = [0.0] + [math.inf] * (t - s + 1)
@@ -119,7 +121,8 @@ def _drop_paying_cuts(order: list[int], maint_after: list[int], waited: int,
             for b in range(a + 1, t - s + 1):  # join piece b over the cut before it
                 for d in range(d + 1, ends[s + b] + 1):
                     acc_l += mileage[order[d]]
-                    acc_t += conn_rows[order[d - 1] - 1][order[d] - 1] + travel[order[d]]
+                    acc_t += (table[dep_time[order[d]] - arr_shifted[order[d - 1]]]
+                              + travel[order[d]])
                 if acc_l > max_l or acc_t > max_t:
                     break
                 change += omega1 * waits[b - 1] - pays
@@ -159,28 +162,24 @@ def build_cycle(
     relaxed, penalty-scored regime); time overruns are never admitted.
     Illegal proposals fall back to the normal random step.
     """
-    trains = instance.trains
-    n = len(trains)
+    n = instance.n
     if instance.oversize is not None:
         raise InfeasibleError(
             f"train {instance.oversize} alone exceeds a maintenance cycle allowance; no plan exists"
         )
-    tables = matrices.tables
-    mileage, travel, arr_at_depot = tables
+    mileage, travel, arr_at_depot = matrices.tables
     params = instance.params
     max_l, max_t = params.max_mileage, params.max_time
     # dropping the cut on a depot arc that waits w pays when omega1 * w < pays
     omega1, pays = params.omega1, params.omega2 * max_l
-    depot = instance.maint_station
-    conn_rows = matrices.conn_rows
-    arr_slot, arr_reach = matrices.arr_slot, matrices.arr_reach
+    waits, dep_time, arr_shifted = matrices.waits, matrices.dep_time, matrices.arr_shifted
+    dep_slot, arr_slot, arr_reach = matrices.dep_slot, matrices.arr_slot, matrices.arr_reach
     random = rng.random  # a uniform double in [0, 1); picks index by int(random() * len)
 
     placed = [False] * (n + 1)
     # unassigned departures per station slot, ascending ids, the depot's at
     # slot 0; a train leaves its list when placed
     free = [[*ids] for ids in matrices.departures.values()]
-    depot_free = free[0]
 
     order = [0] * n
     # maint_after[d]: maintenance on the arc leaving position d + 1; the arc
@@ -190,8 +189,9 @@ def build_cycle(
     waited = 0  # minutes waited on the ordinary arcs so far
     rotation_km: list[float] = []  # mileage of each rotation cut so far
     joins: list[int] = []  # the rotations whose cut to the next one pays to drop
-    # the train placed last, its connection row, and whether it ends at the depot
-    prev, prev_row, at_depot = 0, None, True
+    # the train placed last, its arrival minute less a day, and the slot of the
+    # station where it arrives, 0 at the depot
+    prev, arr, slot = 0, 0, 0
     for d in range(n):  # position d + 1
         proposed = None
         if proposal is not None:
@@ -199,29 +199,25 @@ def build_cycle(
             if not 0 < proposed <= n or placed[proposed]:
                 proposed = None  # out of range or already placed: repaired below
 
-        if at_depot:
-            here = depot_free
+        here = free[slot]
+        if not slot:
             if not here:
                 raise DeadEnd(f"no depot departure left at position {d + 1}")
-            # after the depot, connectable means departing it, which prev's
-            # row tells from position 2 on
-            if proposed is not None and (
-                prev_row[proposed - 1] is not None if d
-                else trains[proposed - 1].dep_station == depot
-            ):
+            # connectable at the depot means departing it
+            if proposed is not None and dep_slot[proposed] == 0:
                 j = proposed
                 del here[bisect_left(here, j)]
             else:
                 j = here.pop(int(random() * len(here)))
             if d:  # the maintenance arc into j closes the rotation before it
                 maint_after[d - 1] = 1
-                if omega1 * prev_row[j - 1] < pays:
+                if omega1 * waits[dep_time[j] - arr] < pays:
                     joins.append(len(rotation_km))
                 rotation_km.append(acc_l)
             acc_l, acc_t = mileage[j], travel[j]
         else:
-            here = free[arr_slot[prev]]
-            conn = prev_row[proposed - 1] if proposed is not None else None
+            conn = (waits[dep_time[proposed] - arr]
+                    if proposed is not None and dep_slot[proposed] == slot else None)
             # only a depot-bound proposal may break the mileage window
             if conn is not None and acc_t + conn + travel[proposed] <= max_t and (
                 arr_at_depot[proposed] or acc_l + mileage[proposed] <= max_l
@@ -238,19 +234,19 @@ def build_cycle(
                     # a depot-bound train may fill the windows to the brim:
                     # the depot step after it cuts; one that breaks a window
                     # outright is unusable
-                    away, usable = _candidates(here, acc_l, acc_t, prev_row, tables, max_l, max_t)
+                    away, usable = _candidates(here, acc_l, acc_t, prev, matrices, max_l, max_t)
                     pick = away or usable
                     if not pick:
                         raise DeadEnd(f"no successor of train {prev} fits at position {d + 1}")
                     j = pick[int(random() * len(pick))]
                     del here[bisect_left(here, j)]
-                conn = prev_row[j - 1]
+                conn = waits[dep_time[j] - arr]
             waited += conn
             acc_l += mileage[j]
             acc_t += conn + travel[j]
         order[d] = j
         placed[j] = True
-        prev, prev_row, at_depot = j, conn_rows[j - 1], arr_at_depot[j]
+        prev, arr, slot = j, arr_shifted[j], arr_slot[j]
 
     # a trail from the depot over every train ends there, by flow balance
     rotation_km.append(acc_l)  # the last rotation, closed by the arc into position 1

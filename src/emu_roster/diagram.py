@@ -23,13 +23,14 @@ def render_dot(
     lines = ["digraph circulation {", "  rankdir=LR;"]
     for t in instance.trains:
         lines.append(f'  t{t.id} [label="{t.id}: {esc[t.dep_station]}→{esc[t.arr_station]}"];')
-    conn_rows = matrices.conn_rows  # validate passed, so every ordinary arc connects
+    # validate passed, so every ordinary arc connects
+    waits, dep_time, arr_shifted = matrices.waits, matrices.dep_time, matrices.arr_shifted
     n = plan.n
     for d in range(n):
         i, j = plan.order[d], plan.order[(d + 1) % n]
         if plan.maint_after[d]:
             lines.append(f"  t{i} -> t{j} [style=dashed];")
         else:
-            lines.append(f'  t{i} -> t{j} [label="{conn_rows[i - 1][j - 1]}"];')
+            lines.append(f'  t{i} -> t{j} [label="{waits[dep_time[j] - arr_shifted[i]]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -42,9 +42,9 @@ def brute_force(
 
     params = instance.params
     max_l, max_t = params.max_mileage, params.max_time
-    rows = matrices.conn_rows
     mileage, travel, arr_at_depot = matrices.tables
     leaving, arr_slot = tuple(matrices.departures.values()), matrices.arr_slot  # by station slot
+    waits, dep_time, arr_shifted = matrices.waits, matrices.dep_time, matrices.arr_shifted
 
     v_star = matrices.departures[instance.maint_station][0]  # ascending ids
 
@@ -54,7 +54,7 @@ def brute_force(
     def evaluate_cycle(cycle: list[int]) -> None:
         # every arc of the cycle connects, so eligibility is the arrival at the
         # depot, which some train of every cycle makes
-        arc_conn = [rows[cycle[d] - 1][cycle[(d + 1) % n] - 1] for d in range(n)]
+        arc_conn = [waits[dep_time[cycle[(d + 1) % n]] - arr_shifted[cycle[d]]] for d in range(n)]
         eligible = [d for d in range(n) if arr_at_depot[cycle[d]]]
         total_conn = sum(arc_conn)
         for mask in range(1, 1 << len(eligible)):
@@ -104,7 +104,7 @@ def brute_force(
 
     def extend(bc_l: float, bc_t: int) -> None:
         if len(path) == n:
-            if rows[path[-1] - 1][v_star - 1] is not None:
+            if arr_slot[path[-1]] == 0:  # v_star leaves the depot, slot 0
                 evaluate_cycle(path)
             return
         i = path[-1]
@@ -115,7 +115,7 @@ def brute_force(
                 nl, nt = mileage[j], travel[j]
             else:
                 nl = bc_l + mileage[j]
-                nt = bc_t + rows[i - 1][j - 1] + travel[j]
+                nt = bc_t + waits[dep_time[j] - arr_shifted[i]] + travel[j]
             if nl > max_l or nt > max_t:
                 continue  # even with the latest possible maintenance, j overruns
             path.append(j)

@@ -210,14 +210,17 @@ def validate(
         return ValidationReport(tuple(v))
 
     max_l, max_t = instance.params.max_mileage, instance.params.max_time
-    flags, conn_rows = plan.maint_after, matrices.conn_rows
+    flags = plan.maint_after
     mileage, travel, at_depot = matrices.tables
+    table, dep_time, arr_shifted = matrices.waits, matrices.dep_time, matrices.arr_shifted
+    dep_slot, arr_slot = matrices.dep_slot, matrices.arr_slot
     kms, mins_at, ends, waits = [], [], [], []
     km = mins = waited = prev = 0  # prev: the train before an ordinary arc, else 0
     for d, tid in enumerate(ids):
         if prev:
-            wait = conn_rows[prev - 1][tid - 1]
-            if wait is None:
+            if dep_slot[tid] == arr_slot[prev]:
+                wait = table[dep_time[tid] - arr_shifted[prev]]
+            else:
                 v.append(Violation("CONN", f"trains {prev} and {tid} cannot connect", d + 1))
                 wait = 0
             km += mileage[tid]
@@ -233,7 +236,7 @@ def validate(
             v.append(Violation("EQ12", f"{mins} min since maintenance exceeds {max_t:.0f}", d + 1))
         if flags[d]:
             nxt = ids[(d + 1) % n]
-            if not at_depot[tid] or conn_rows[tid - 1][nxt - 1] is None:
+            if not at_depot[tid] or dep_slot[nxt] != arr_slot[tid]:
                 v.append(
                     Violation("EQ10", f"maintenance between {tid} and {nxt} is not at the depot", d + 1)
                 )

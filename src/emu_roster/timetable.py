@@ -18,8 +18,8 @@ import numpy as np
 MINUTES_PER_DAY = 1440
 
 # Every wait lies in [0, 2 * 1440): a gap within one day plus at most one day.
-# build_matrices stores the int objects of this tuple, so the n x n waits of
-# a network share at most 2,880 objects instead of holding one each.
+# A wait table holds the int objects of this tuple, so the n x n waits of a
+# network's derived rows share at most 2,880 objects instead of holding one each.
 _WAITS = tuple(range(2 * MINUTES_PER_DAY))
 
 
@@ -33,7 +33,7 @@ def _wait_table(t_connect: int) -> tuple[int, ...]:
     the same day's, so each half of the table is the same run: the rolled
     waits 1440 .. 1440 + t_connect - 1, then the direct ones t_connect ..
     1439. The entries are _WAITS' own objects. Cached by t_connect: building
-    one costs more than the whole pair walk of a ten-train network.
+    one costs more than build_matrices of a ten-train network.
     """
     day = MINUTES_PER_DAY
     return _WAITS[day:day + t_connect] + _WAITS[t_connect:day + t_connect] + _WAITS[t_connect:day]
@@ -225,6 +225,9 @@ def check_instance(trains, maint_station, params) -> None:
     for t in trains:
         arr_counts[t.arr_station] = arr_counts.get(t.arr_station, 0) + 1
         dep_counts[t.dep_station] = dep_counts.get(t.dep_station, 0) + 1
+    for s in (*dep_counts, *arr_counts):  # before anything sorts or splits the names
+        if not isinstance(s, str):
+            raise TimetableError(f"station name {s!r} must be a str, got {type(s).__name__}")
     for s in sorted(arr_counts.keys() | dep_counts.keys()):
         if s.split() != [s] or "#" in s:  # a file line could not hold it
             raise TimetableError(f"station name {s!r} must be one token with no '#'")

@@ -9,10 +9,17 @@ import pytest
 from emu_roster import (
     ConnectionMatrices,
     ModelParams,
+    SwarmConfig,
     TimetableInstance,
     Train,
+    brute_force,
     build_matrices,
     generate_instance,
+    plan_summary,
+    render_dot,
+    render_plan,
+    solve,
+    validate,
 )
 from emu_roster.connection import _wait_table
 from emu_roster.timetable import _WAITS
@@ -200,11 +207,21 @@ def test_rows_match_a_pairwise_walk(fig1, t_connect):
                  generate_instance(5, 3, 2), generate_instance(50, 4, 2),
                  generate_instance(250, 6, 3)):
         inst = inst.with_params(t_connect=t_connect)
-        rows = build_matrices(inst).conn_rows
+        m = build_matrices(inst)
+        rows = m.conn_rows
         expected = pairwise_rows(inst)
         assert rows == expected
         # the very same int objects, not equal copies
         assert all(a is b for row, exp in zip(rows, expected) for a, b in zip(row, exp))
+        if inst.n > 100:
+            continue  # 250,000 pairs: the rows above cover them
+        # time() looks up every pair itself, not through the rows
+        for i, row in enumerate(expected):
+            for j, wait in enumerate(row):
+                try:
+                    assert m.time(i, j) is wait, (i, j)
+                except ValueError:
+                    assert wait is None, (i, j)
 
 
 _REFUSAL = re.compile(r"pair 1 \(trains 1 and 2\) needs [\d.]+ km and (\d+) min")
@@ -235,6 +252,25 @@ def test_generator_pair_check_agrees_with_the_network(t_connect):
     # the seeds reach both ends of the 20..180 turnarounds, where a rule that
     # compared with > instead of >= would disagree at t_connect 20 and 180
     assert {20, 180} <= turnarounds
+
+
+def test_readers_build_no_rows(fig1):
+    # every reader in the package looks each wait up; none builds the n x n
+    # rows or the array derived from them
+    inst = generate_instance(4, 2, 3)  # n = 8
+    m = build_matrices(inst)
+    plan = solve(inst, m, SwarmConfig(n_particles=4, k_max=20, seed=1)).best_plan
+    assert validate(plan, inst, m).ok
+    plan_summary(plan, inst, m)
+    render_plan(plan, inst, m)
+    render_dot(plan, inst, m)
+    brute_force(inst, m)
+    assert "conn_rows" not in vars(m) and "conn_time" not in vars(m)
+    # n = 100; fig1, whose multi-leg chains dead-end and restart
+    for inst in (generate_instance(50, 4, 2), fig1):
+        m = build_matrices(inst)
+        solve(inst, m, SwarmConfig(n_particles=4, k_max=5, seed=1))
+        assert "conn_rows" not in vars(m) and "conn_time" not in vars(m)
 
 
 def test_rows_share_wait_objects():
@@ -273,6 +309,11 @@ def test_diagonal_unused(fig1, fig1_matrices):
 def test_time_refuses_infeasible(fig1_matrices):
     with pytest.raises(ValueError, match="cannot connect"):
         fig1_matrices.time(0, 0)
+    # train 12 arrives at C, where train 1 leaves: -1 must not wrap round to it
+    assert fig1_matrices.time(11, 0) is not None
+    for i, j in ((-1, 0), (0, -1), (12, 0), (0, 12)):
+        with pytest.raises(IndexError, match="out of range"):
+            fig1_matrices.time(i, j)
 
 
 def test_dump_tsv_uses_inf(two_train):

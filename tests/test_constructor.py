@@ -225,8 +225,8 @@ def _step_after_train_1(fig1, fig1_matrices, remaining, acc_l, acc_t):
         [j for j in here if j in remaining],
         acc_l,
         acc_t,
-        fig1_matrices.conn_rows[0],
-        fig1_matrices.tables,
+        1,
+        fig1_matrices,
         fig1.params.max_mileage,
         fig1.params.max_time,
     )
@@ -298,7 +298,7 @@ def test_look_ahead_agrees_with_candidates(case, fig1):
         here = [j for j in m.departures[arr_station[prev]] if j != prev]
         free = [j for j in here if rng.random() < 0.7]
         acc_l, acc_t = rng.uniform(0, top_l), int(rng.integers(0, int(top_t) + 1))
-        args = (free, acc_l, acc_t, m.conn_rows[prev - 1], m.tables, max_l, max_t)
+        args = (free, acc_l, acc_t, prev, m, max_l, max_t)
         away, usable = _candidates(*args)
         seen.add(bool(away or usable))
         reach_km, reach_min = m.arr_reach[prev]

@@ -66,6 +66,20 @@ def test_station_name_no_file_line_holds_is_refused(name):
         TimetableInstance(trains=trains, maint_station="C")
 
 
+def test_station_name_not_a_str_is_refused():
+    # no name is a str: split() would raise AttributeError
+    trains = (Train(1, 0, 480, 7, 600, 300.0, 120), Train(2, 7, 660, 0, 780, 300.0, 120))
+    with pytest.raises(TimetableError, match=re.escape("station name 0 must be a str, got int")):
+        TimetableInstance(trains=trains, maint_station=0)
+
+
+def test_station_names_of_mixed_types_are_refused():
+    # sorting an int among strs would raise TypeError
+    trains = (Train(1, "C", 480, 7, 600, 300.0, 120), Train(2, 7, 660, "C", 780, 300.0, 120))
+    with pytest.raises(TimetableError, match=re.escape("station name 7 must be a str, got int")):
+        TimetableInstance(trains=trains, maint_station="C")
+
+
 def test_flow_imbalance_rejected():
     # A: two arrivals, one departure
     with pytest.raises(TimetableError, match="flow imbalance"):

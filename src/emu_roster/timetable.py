@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -121,7 +122,7 @@ def param_field(key: str) -> str:
     return "lam" if key == "lambda" else key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Train:
     """One timetabled service: where and when it runs, and what it costs.
 
@@ -138,7 +139,22 @@ class Train:
     mileage: float
     travel_time: int
 
-    def __post_init__(self):
+    # Written by hand: the generated init of a frozen dataclass sets each field
+    # with its own object.__setattr__ call, about a quarter of parse_timetable's
+    # time. One dict update sets them all. The test makes _refuse's comparisons
+    # in _refuse's order, so a comparison that raises raises as it would there,
+    # and _refuse, which names the first broken rule, runs only when one is broken.
+    def __init__(self, id: int, dep_station: str, dep_time: int, arr_station: str,
+                 arr_time: int, mileage: float, travel_time: int):
+        self.__dict__.update(id=id, dep_station=dep_station, dep_time=dep_time,
+                             arr_station=arr_station, arr_time=arr_time, mileage=mileage,
+                             travel_time=travel_time)
+        if (id < 1 or dep_station == arr_station or not 0 <= dep_time < MINUTES_PER_DAY
+                or not 0 <= arr_time < MINUTES_PER_DAY or arr_time <= dep_time
+                or not 0 < mileage < math.inf or travel_time <= 0):
+            self._refuse()
+
+    def _refuse(self):
         if self.id < 1:
             raise TimetableError(f"train id must be >= 1, got {self.id}")
         if self.dep_station == self.arr_station:
@@ -212,7 +228,7 @@ def check_instance(trains, maint_station, params) -> None:
         raise TimetableError(f"unknown station in maint_stations: {maint_station!r}")
     ids = [t.id for t in trains]
     if sorted(ids) != list(range(1, len(trains) + 1)):
-        dup = sorted({i for i in ids if ids.count(i) > 1})
+        dup = sorted(i for i, count in Counter(ids).items() if count > 1)
         if dup:
             raise TimetableError(f"duplicate train id(s): {dup}")
         raise TimetableError(f"train ids must form 1..{len(trains)}, got {sorted(ids)}")
@@ -289,8 +305,17 @@ def _parse_hhmm(token: str, lineno: int, line: str) -> int:
     return 60 * hours + minutes
 
 
-def _fmt_hhmm(minutes: int) -> str:
-    return f"{minutes // 60:02d}:{minutes % 60:02d}"
+# The canonical clock token of each minute of the day, "00:00" .. "23:59" at
+# index 0 .. 1439: the form render_timetable writes, spelled out only here.
+_TWO_DIGITS = tuple(f"{i:02d}" for i in range(60))
+_HHMM = tuple(f"{h}:{m}" for h in _TWO_DIGITS[:24] for m in _TWO_DIGITS)
+
+# The minute of each canonical token. A train line looks its clock times up
+# here and hands a miss (a non-canonical 7:05, a malformed token) to
+# _parse_hhmm, which reads or refuses it. The minute is the token's index:
+# running _parse_hhmm on the 1,440 tokens would cost about as much as a whole
+# n = 500 parse in every process that imports this module.
+_CLOCK = dict(zip(_HHMM, range(MINUTES_PER_DAY)))
 
 
 def parse_timetable(text: str) -> TimetableInstance:
@@ -339,8 +364,12 @@ def parse_timetable(text: str) -> TimetableInstance:
                 )
             if not ascii_digits(tokens[1]):
                 raise TimetableError(f"bad train id {tokens[1]!r}", lineno, _col(line, tokens[1]))
-            dep_t = _parse_hhmm(tokens[3], lineno, line)
-            arr_t = _parse_hhmm(tokens[5], lineno, line)
+            dep_t = _CLOCK.get(tokens[3])
+            if dep_t is None:
+                dep_t = _parse_hhmm(tokens[3], lineno, line)
+            arr_t = _CLOCK.get(tokens[5])
+            if arr_t is None:
+                arr_t = _parse_hhmm(tokens[5], lineno, line)
             try:
                 mileage = float_token(tokens[6])
             except ValueError:
@@ -370,8 +399,8 @@ def render_timetable(instance: TimetableInstance) -> str:
     lines.append(f"maint_station {instance.maint_station}")
     for t in instance.trains:  # already sorted by id
         lines.append(
-            f"train {t.id} {t.dep_station} {_fmt_hhmm(t.dep_time)} "
-            f"{t.arr_station} {_fmt_hhmm(t.arr_time)} {t.mileage:.1f} {t.travel_time}"
+            f"train {t.id} {t.dep_station} {_HHMM[t.dep_time]} "
+            f"{t.arr_station} {_HHMM[t.arr_time]} {t.mileage:.1f} {t.travel_time}"
         )
     return "\n".join(lines) + "\n"
 

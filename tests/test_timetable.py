@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import pickle
 import re
+import time
 
 import pytest
 
@@ -16,6 +18,7 @@ from emu_roster import (
     parse_timetable,
     render_timetable,
 )
+from emu_roster.timetable import _CLOCK, _HHMM, _parse_hhmm
 
 
 def test_fig1_parses(fig1):
@@ -98,6 +101,18 @@ def test_duplicate_id_rejected():
             "train 1 C 08:00 A 10:00 300.0 120\n"
             "train 1 A 11:00 C 13:00 300.0 120\n"
         )
+
+
+def test_duplicate_id_among_many_trains_is_found_in_linear_time():
+    # 20,000 trains, id 1 twice: counting each id with list.count took seconds
+    trains = (Train(1, "C", 480, "A", 600, 300.0, 120),
+              *(Train(k, "C", 480, "A", 600, 300.0, 120) for k in range(1, 20_000)))
+    start = time.perf_counter()
+    with pytest.raises(TimetableError) as info:
+        TimetableInstance(trains=trains, maint_station="C")
+    elapsed = time.perf_counter() - start
+    assert str(info.value) == "duplicate train id(s): [1]"
+    assert elapsed < 1.0
 
 
 def test_unknown_maint_station_rejected():
@@ -263,6 +278,114 @@ def test_train_invariants():
         Train(1, "A", 0, "A", 60, 100.0, 60)
     with pytest.raises(TimetableError, match="mileage"):
         Train(1, "A", 0, "B", 60, -5.0, 60)
+    # each rule refused just past its edge, with its own message
+    fields = dict(id=1, dep_station="A", dep_time=0, arr_station="B", arr_time=60, mileage=100.0,
+                  travel_time=60)
+    refusals = [
+        (dict(id=0), "train id must be >= 1, got 0"),
+        (dict(arr_station="A"), "train 1: departure and arrival station are equal"),
+        (dict(dep_time=-1), "train 1: dep_time -1 outside [0, 1440)"),
+        (dict(arr_time=1440), "train 1: arr_time 1440 outside [0, 1440)"),
+        (dict(dep_time=60), "train 1: arrives at or before departure (spans midnight?)"),
+        (dict(mileage=0.0), "train 1: mileage must be positive and finite, got 0.0"),
+        (dict(mileage=-1.0), "train 1: mileage must be positive and finite, got -1.0"),
+        (dict(mileage=math.nan), "train 1: mileage must be positive and finite, got nan"),
+        (dict(mileage=math.inf), "train 1: mileage must be positive and finite, got inf"),
+        (dict(travel_time=0), "train 1: travel_time must be positive"),
+        # the first broken rule is the one named
+        (dict(id=0, arr_station="A", travel_time=0), "train id must be >= 1, got 0"),
+        (dict(dep_time=-1, arr_time=1440), "train 1: dep_time -1 outside [0, 1440)"),
+        (dict(mileage=0.0, travel_time=0), "train 1: mileage must be positive and finite, got 0.0"),
+    ]
+    for change, message in refusals:
+        with pytest.raises(TimetableError, match=f"^{re.escape(message)}$"):
+            Train(**{**fields, **change})
+    # and accepted on its edge
+    for change in (dict(dep_time=0, arr_time=1), dict(dep_time=1438, arr_time=1439),
+                   dict(mileage=5e-324), dict(travel_time=1)):
+        assert dataclasses.asdict(Train(**{**fields, **change})) == {**fields, **change}
+    # a comparison that cannot be made raises as it did, not as a refusal
+    message = "'<' not supported between instances of 'NoneType' and 'int'"
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        Train(None, "A", 0, "B", 60, 100.0, 60)
+
+
+def test_train_dataclass_contract():
+    train = Train(3, "A", 420, "B", 545, 520.0, 125)
+    assert [f.name for f in dataclasses.fields(Train)] == [
+        "id", "dep_station", "dep_time", "arr_station", "arr_time", "mileage", "travel_time"]
+    assert train == Train(id=3, dep_station="A", dep_time=420, arr_station="B", arr_time=545,
+                          mileage=520.0, travel_time=125)
+    assert train != Train(3, "A", 420, "B", 545, 520.0, 124)
+    assert hash(train) == hash((3, "A", 420, "B", 545, 520.0, 125))
+    assert repr(train) == ("Train(id=3, dep_station='A', dep_time=420, arr_station='B', "
+                           "arr_time=545, mileage=520.0, travel_time=125)")
+    copy = pickle.loads(pickle.dumps(train))
+    assert copy == train and hash(copy) == hash(train) and repr(copy) == repr(train)
+    for target in (train, copy):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            target.arr_time = 600
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del target.id
+    assert train.arr_time == 545
+    # replace builds a new train through the same checks
+    assert dataclasses.replace(train, mileage=300.0) == Train(3, "A", 420, "B", 545, 300.0, 125)
+    with pytest.raises(TimetableError, match=re.escape("train 3: arrives at or before departure")):
+        dataclasses.replace(train, arr_time=420)
+    with pytest.raises(TimetableError, match="^train id must be >= 1, got 0$"):
+        dataclasses.replace(train, id=0)
+    # station names that are not str still construct; check_instance refuses them
+    assert Train(1, 0, 480, 7, 600, 300.0, 120).dep_station == 0
+
+
+def test_clock_table_holds_every_canonical_time():
+    # the tokens render_timetable writes, one per minute, and the minute
+    # _parse_hhmm reads from each
+    tokens = [f"{m // 60:02d}:{m % 60:02d}" for m in range(1440)]
+    assert list(_HHMM) == tokens
+    assert list(_CLOCK.items()) == list(zip(tokens, range(1440)))
+    assert [_parse_hhmm(token, 1, token) for token in tokens] == list(range(1440))
+
+
+@pytest.mark.parametrize("dep, arr, minutes", [
+    ("7:05", "9:10", (425, 550)),
+    ("007:05", "0009:010", (425, 550)),
+    ("0:0", "23:59", (0, 1439)),
+    ("00:00", "0023:59", (0, 1439)),
+])
+def test_clock_times_off_the_table_still_parse(dep, arr, minutes):
+    # a token the table does not hold is read by _parse_hhmm, as every token was
+    assert dep not in _CLOCK or arr not in _CLOCK
+    span = minutes[1] - minutes[0]
+    inst = parse_timetable(f"maint_station C\ntrain 1 C {dep} A {arr} 300.0 {span}\n"
+                           "train 2 A 11:00 C 13:00 300.0 120\n")
+    assert (inst.train(1).dep_time, inst.train(1).arr_time) == minutes
+
+
+@pytest.mark.parametrize("token, message", [
+    ("8h00", "expected HH:MM, got '8h00'"),
+    ("08:00:00", "expected HH:MM, got '08:00:00'"),
+    ("+9:00", "expected HH:MM, got '+9:00'"),
+    ("0²:00", "expected HH:MM, got '0²:00'"),
+    ("08:0\u0665", "expected HH:MM, got '08:0\u0665'"),
+    ("0800", "expected HH:MM, got '0800'"),
+    (":00", "expected HH:MM, got ':00'"),
+    ("08:", "expected HH:MM, got '08:'"),
+    ("24:00", "clock time out of range: '24:00'"),
+    ("10:60", "clock time out of range: '10:60'"),
+    ("99:99", "clock time out of range: '99:99'"),
+])
+def test_clock_errors_keep_text_line_and_column(token, message):
+    # no malformed token is in the table, so _parse_hhmm refuses it as before,
+    # on either side of the line, the departure first
+    assert token not in _CLOCK
+    for line, col in ((f"train 1 C {token} A 23:00 300.0 120", 11),
+                      (f"train 1 C 07:15 A {token} 300.0 120", 19),
+                      (f"train 1 C {token} A {token} 300.0 120", 11)):
+        with pytest.raises(TimetableError) as info:
+            parse_timetable(f"maint_station C\n\n{line}\ntrain 2 A 11:00 C 13:00 300.0 120\n")
+        assert (info.value.line, info.value.col) == (3, col)
+        assert str(info.value) == f"line 3, col {col}: {message}"
 
 
 @pytest.mark.parametrize("mileage", [math.nan, math.inf, -math.inf, 0.0])

@@ -291,6 +291,6 @@ def construct(
     max_restarts: int = MAX_RESTARTS, maint_prob: float | None = None,
 ) -> CirculationPlan:
     """Build a feasible circulation plan, restarting on dead ends. maint_prob
-    stays only because bench/run.py still passes it (ROADMAP item 5)."""
+    stays only because bench/run.py still passes it (ROADMAP item 6)."""
     check_maint_prob(maint_prob)
     return construct_with_stats(instance, matrices, rng, max_restarts)[0]

@@ -5,6 +5,18 @@ digraph (anchored at the lowest-id depot-departing train so each cycle is
 seen once) and, per cycle, every legal placement of maintenance arcs. The
 minimum objective over all fully feasible combinations is the ground truth
 against which the swarm heuristic is judged.
+
+A placement is a nonempty set of cuts among the cycle's e depot arrivals, and
+it is feasible exactly when each rotation between consecutive cuts fits both
+windows: the segment graph of route-first, cluster-second splitting (Prins
+2004). So each cycle first walks once from every cut to tabulate the km of
+each segment that fits, then enumerates the chains of cuts through that table,
+each closed by its wrap-around segment: one chain per feasible placement. A
+segment's km and a chain's slack are summed in the same order as a walk of
+each placement would sum them, so every objective is bit for bit the same,
+and all 2^e - 1 placements still count as enumerated. The walks are written
+out here rather than taken from the constructor's split or from validate, so
+that the oracle stays an independent check of both.
 """
 
 from __future__ import annotations
@@ -48,6 +60,7 @@ def brute_force(
 
     v_star = matrices.departures[instance.maint_station][0]  # ascending ids
 
+    omega1, omega2 = params.omega1, params.omega2
     counters = {"plans": 0, "feasible": 0}
     best: list = [None]  # (objective, order, flags)
 
@@ -56,48 +69,55 @@ def brute_force(
         # depot, which some train of every cycle makes
         arc_conn = [waits[dep_time[cycle[(d + 1) % n]] - arr_shifted[cycle[d]]] for d in range(n)]
         eligible = [d for d in range(n) if arr_at_depot[cycle[d]]]
+        e = len(eligible)
+        counters["plans"] += (1 << e) - 1  # every nonempty set of cuts
+        # seg[k][b]: km of the rotation from a cut at eligible[k] to the next
+        # cut at eligible[b] (b == k: all the way round), None if it breaks a
+        # window; one walk per cut and cycle, not one per cut and placement
+        seg = []
+        for k, start in enumerate(eligible):
+            row = [None] * e
+            b = (k + 1) % e  # the index of the next eligible position the walk meets
+            d = (start + 1) % n
+            tid = cycle[d]
+            l_acc, t_acc = mileage[tid], travel[tid]
+            while l_acc <= max_l and t_acc <= max_t:
+                if arr_at_depot[tid]:  # d is eligible[b]
+                    row[b] = l_acc
+                    if d == start:
+                        break
+                    b = (b + 1) % e
+                prev, d = d, (d + 1) % n
+                tid = cycle[d]
+                l_acc += mileage[tid]
+                t_acc += arc_conn[prev] + travel[tid]
+            seg.append(row)
+
+        def chain(first: int, last: int, conn_sum: int, slack: float, cuts: list[int]) -> None:
+            # cuts at eligible[first] < ... < eligible[last]: close the loop,
+            # then extend it by every later cut the rotation from last reaches
+            row = seg[last]
+            km = row[first]
+            if km is not None:
+                counters["feasible"] += 1
+                objective = omega1 * conn_sum + omega2 * (slack + (max_l - km))
+                # a worse objective cannot win the comparison; ties compare orders
+                if best[0] is None or objective <= best[0][0]:
+                    entry = (objective, *_canonical(cycle, cuts, n))
+                    if best[0] is None or entry < best[0]:
+                        best[0] = entry
+            for b in range(last + 1, e):
+                km = row[b]
+                if km is None:
+                    break  # the rotation broke a window before this cut, so before any later one
+                cut = eligible[b]
+                cuts.append(cut)
+                chain(first, b, conn_sum - arc_conn[cut], slack + (max_l - km), cuts)
+                cuts.pop()
+
         total_conn = sum(arc_conn)
-        for mask in range(1, 1 << len(eligible)):
-            counters["plans"] += 1
-            cut_after = [eligible[b] for b in range(len(eligible)) if mask >> b & 1]
-            feasible = True
-            slack = 0.0
-            conn_sum = total_conn
-            for s_idx, s in enumerate(cut_after):
-                conn_sum -= arc_conn[s]
-                # rotation runs from position s+1 up to the next cut
-                end = cut_after[(s_idx + 1) % len(cut_after)]
-                l_acc = 0.0
-                t_acc = 0
-                first = True
-                d = (s + 1) % n
-                while True:
-                    tid = cycle[d]
-                    if first:
-                        l_acc, t_acc = mileage[tid], travel[tid]
-                        first = False
-                    else:
-                        l_acc += mileage[tid]
-                        t_acc += arc_conn[(d - 1) % n] + travel[tid]
-                    if l_acc > max_l or t_acc > max_t:
-                        feasible = False
-                        break
-                    if d == end:
-                        break
-                    d = (d + 1) % n
-                if not feasible:
-                    break
-                slack += max_l - l_acc
-            if not feasible:
-                continue
-            counters["feasible"] += 1
-            objective = params.omega1 * conn_sum + params.omega2 * slack
-            if best[0] is not None and objective > best[0][0]:
-                continue  # cannot win the comparison below; ties still compare orders
-            candidate_order, candidate_flags = _canonical(cycle, cut_after, n)
-            entry = (objective, candidate_order, candidate_flags)
-            if best[0] is None or entry < best[0]:
-                best[0] = entry
+        for first, cut in enumerate(eligible):
+            chain(first, first, total_conn - arc_conn[cut], 0.0, [cut])
 
     path = [v_star]
     used = {v_star}

@@ -251,7 +251,7 @@ def solve(
     Only iteration 0 raises InfeasibleError: a later particle whose decode
     runs out of max_restarts keeps its last plan, and its failed attempts
     count in restarts. maint_prob stays only because bench/run.py still
-    passes it (ROADMAP item 5); it has no effect.
+    passes it (ROADMAP item 6); it has no effect.
     """
     check_maint_prob(maint_prob)
     if matrices is None:

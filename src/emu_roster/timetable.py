@@ -275,10 +275,15 @@ def check_instance(trains, maint_station, params) -> None:
             )
 
 
-def _col(line: str, token: str) -> int:
-    """The column of token's first occurrence in line: worked out only for an
-    error, since a line that parses needs none."""
-    return line.index(token) + 1
+def _col(line: str, index: int) -> int:
+    """The column of line.split()[index]: worked out only for an error, since
+    a line that parses needs none. Each token is looked for after the end of
+    the one before, so an earlier token holding the same text is skipped."""
+    tokens = line.split()
+    pos = 0
+    for token in tokens[:index]:
+        pos = line.index(token, pos) + len(token)
+    return line.index(tokens[index], pos) + 1
 
 
 def ascii_digits(token: str) -> bool:
@@ -295,13 +300,14 @@ def float_token(token: str) -> float:
     return float(token)
 
 
-def _parse_hhmm(token: str, lineno: int, line: str) -> int:
+def _parse_hhmm(token: str, lineno: int, line: str, index: int) -> int:
+    """The minute of clock token line.split()[index]."""
     h, colon, m = token.partition(":")
     if not (colon and ascii_digits(h) and ascii_digits(m)):
-        raise TimetableError(f"expected HH:MM, got {token!r}", lineno, _col(line, token))
+        raise TimetableError(f"expected HH:MM, got {token!r}", lineno, _col(line, index))
     hours, minutes = int(h), int(m)
     if hours > 23 or minutes > 59:
-        raise TimetableError(f"clock time out of range: {token!r}", lineno, _col(line, token))
+        raise TimetableError(f"clock time out of range: {token!r}", lineno, _col(line, index))
     return 60 * hours + minutes
 
 
@@ -343,46 +349,46 @@ def parse_timetable(text: str) -> TimetableInstance:
         if kind == "param":
             if len(tokens) != 3:
                 raise TimetableError("param lines take exactly a name and a value", lineno,
-                                     _col(line, kind))
+                                     _col(line, 0))
             name = tokens[1]
             if name not in PARAM_KEYS:
-                raise TimetableError(f"unknown parameter {name!r}", lineno, _col(line, name))
+                raise TimetableError(f"unknown parameter {name!r}", lineno, _col(line, 1))
             try:
                 params_seen[name] = float_token(tokens[2])
             except ValueError:
                 raise TimetableError(f"bad numeric value {tokens[2]!r}", lineno,
-                                     _col(line, tokens[2])) from None
+                                     _col(line, 2)) from None
         elif kind == "maint_station":
             if len(tokens) != 2:
                 raise TimetableError("maint_station takes exactly one station id", lineno,
-                                     _col(line, kind))
+                                     _col(line, 0))
             maint.append(tokens[1])
         elif kind == "train":
             if len(tokens) != 8:
                 raise TimetableError(
-                    f"train lines take 7 fields, got {len(tokens) - 1}", lineno, _col(line, kind)
+                    f"train lines take 7 fields, got {len(tokens) - 1}", lineno, _col(line, 0)
                 )
             if not ascii_digits(tokens[1]):
-                raise TimetableError(f"bad train id {tokens[1]!r}", lineno, _col(line, tokens[1]))
+                raise TimetableError(f"bad train id {tokens[1]!r}", lineno, _col(line, 1))
             dep_t = _CLOCK.get(tokens[3])
             if dep_t is None:
-                dep_t = _parse_hhmm(tokens[3], lineno, line)
+                dep_t = _parse_hhmm(tokens[3], lineno, line, 3)
             arr_t = _CLOCK.get(tokens[5])
             if arr_t is None:
-                arr_t = _parse_hhmm(tokens[5], lineno, line)
+                arr_t = _parse_hhmm(tokens[5], lineno, line, 5)
             try:
                 mileage = float_token(tokens[6])
             except ValueError:
                 mileage = None
             if mileage is None or not ascii_digits(tokens[7]):
-                raise TimetableError("bad mileage or travel time", lineno, _col(line, tokens[6]))
+                raise TimetableError("bad mileage or travel time", lineno, _col(line, 6))
             try:
                 trains.append(Train(int(tokens[1]), tokens[2], dep_t, tokens[4], arr_t, mileage,
                                     int(tokens[7])))
             except TimetableError as exc:
-                raise TimetableError(str(exc), lineno, _col(line, kind)) from None
+                raise TimetableError(str(exc), lineno, _col(line, 0)) from None
         else:
-            raise TimetableError(f"unknown directive {kind!r}", lineno, _col(line, kind))
+            raise TimetableError(f"unknown directive {kind!r}", lineno, _col(line, 0))
 
     if len(maint) != 1:
         raise TimetableError(f"exactly one maint_station line required, got {len(maint)}")

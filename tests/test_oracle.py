@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -32,28 +34,54 @@ def test_two_train_unique_cycle(two_train):
     assert res.best_objective == objective_value(res.best_plan, two_train, m)
 
 
+# at the default weights and at omega2 = 1, where the slack outweighs the waits
+NAIVE_OMEGA2 = (0.01, 1.0)
+
+
 @pytest.mark.parametrize("seed", [42, 7, 13, 99])
 def test_matches_naive_on_paired_instances(seed):
-    inst = generate_instance(2, 1, seed=seed)
-    m = build_matrices(inst)
-    pruned = brute_force(inst, m)
-    naive_obj, naive_feasible = naive_best(inst)
-    assert pruned.feasible_count == naive_feasible
-    if naive_obj is None:
-        assert pruned.best_objective is None
-    else:
-        assert pruned.best_objective == pytest.approx(naive_obj, abs=1e-9)
+    for omega2 in NAIVE_OMEGA2:
+        inst = generate_instance(2, 1, seed=seed).with_params(omega2=omega2)
+        m = build_matrices(inst)
+        pruned = brute_force(inst, m)
+        naive_obj, naive_feasible = naive_best(inst)
+        assert pruned.feasible_count == naive_feasible
+        if naive_obj is None:
+            assert pruned.best_objective is None
+        else:
+            assert pruned.best_objective == pytest.approx(naive_obj, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", [1, 5, 9, 14, 18])
 def test_matches_naive_at_eight_trains(seed):
     # beyond the acceptance sweep's sizes; exercises deeper pruning
-    inst = generate_instance(4, 1 + seed % 3, seed=seed)
-    m = build_matrices(inst)
-    pruned = brute_force(inst, m)
-    naive_obj, naive_feasible = naive_best(inst)
-    assert pruned.feasible_count == naive_feasible
-    assert pruned.best_objective == pytest.approx(naive_obj, abs=1e-9)
+    for omega2 in NAIVE_OMEGA2:
+        inst = generate_instance(4, 1 + seed % 3, seed=seed).with_params(omega2=omega2)
+        m = build_matrices(inst)
+        pruned = brute_force(inst, m)
+        naive_obj, naive_feasible = naive_best(inst)
+        assert pruned.feasible_count == naive_feasible
+        assert pruned.best_objective == pytest.approx(naive_obj, abs=1e-9)
+
+
+# The digest of every result field over the sweep below, recorded before the
+# per-cycle segment table replaced the per-mask walk: the rewrite changes no
+# optimum, no tie-break, no float bit and no count.
+PINNED_SWEEP = "0f06526083794ed67c26e9a322ac05a4a57e4ca5ab167b755023fc5ee6015521"
+
+
+def test_results_pinned_over_a_sweep(chain, fig1, fig1_matrices):
+    cases = [(generate_instance(pairs, 2, seed=seed).with_params(omega2=omega2), 10)
+             for pairs in (3, 4, 5) for omega2 in (0.01, 1.0) for seed in (1, 2, 3)]
+    cases += [(chain, 10), (fig1, 12), (generate_instance(6, 2, seed=1), 12)]
+    rows = []
+    for inst, n_limit in cases:
+        m = fig1_matrices if inst is fig1 else build_matrices(inst)
+        res = brute_force(inst, m, n_limit=n_limit)
+        plan = res.best_plan
+        rows.append((repr(res.best_objective), plan and plan.order, plan and plan.maint_after,
+                     res.plans_enumerated, res.feasible_count))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == PINNED_SWEEP, rows
 
 
 def test_best_plan_always_validates():

@@ -168,12 +168,16 @@ def test_syntax_error_reports_line():
     ("train 1 C 08:00 A 10:00 300.0 1_20", (2, 25), "bad mileage or travel time"),
     ("train 1 C 08:00 A 10:00 300.0 +120", (2, 25), "bad mileage or travel time"),
     ("param omega1 1_0", (2, 14), "bad numeric value '1_0'"),
+    # the bad token's text also occurs inside an earlier token: the column is its own
+    ("train 1 C 08:00 A 08: 300.0 120", (2, 19), "expected HH:MM, got '08:'"),
+    ("param beta e", (2, 12), "bad numeric value 'e'"),
 ], ids=["train-id", "hhmm", "hhmm-3-parts", "hhmm-sign", "hhmm-superscript", "hhmm-arabic-indic",
         "hour-range", "minute-range", "mileage", "travel", "field-count", "train-field",
         "directive", "param-name", "param-value", "param-arity", "maint-arity",
         "train-id-arabic-indic", "mileage-arabic-indic", "travel-arabic-indic",
         "param-value-arabic-indic", "train-id-sign", "train-id-underscore",
-        "mileage-underscore", "travel-underscore", "travel-sign", "param-value-underscore"])
+        "mileage-underscore", "travel-underscore", "travel-sign", "param-value-underscore",
+        "hhmm-text-in-earlier-token", "param-value-text-in-name"])
 def test_syntax_error_line_and_column(line, where, message):
     text = f"maint_station C\n{line}\ntrain 2 A 11:00 C 13:00 300.0 120\n"
     with pytest.raises(TimetableError) as info:
@@ -344,7 +348,7 @@ def test_clock_table_holds_every_canonical_time():
     tokens = [f"{m // 60:02d}:{m % 60:02d}" for m in range(1440)]
     assert list(_HHMM) == tokens
     assert list(_CLOCK.items()) == list(zip(tokens, range(1440)))
-    assert [_parse_hhmm(token, 1, token) for token in tokens] == list(range(1440))
+    assert [_parse_hhmm(token, 1, token, 0) for token in tokens] == list(range(1440))
 
 
 @pytest.mark.parametrize("dep, arr, minutes", [

@@ -22,7 +22,10 @@ uniform doubles with that method serves, such as solve's Philox streams.
 
 The swarm decoder supplies a proposed train per position, taken where it is
 legal and repaired by the normal step elsewhere (pso's decoder passes it to
-one attempt, then restarts with construct_with_stats). An attempt returns
+one attempt, then restarts with construct_with_stats). An entry outside 1..n,
+NaN or infinite proposes nothing: build_cycle maps it to 0 once per call,
+before the loop (solve's rows need no such pass), and each step rejects a
+proposed train of another station with one comparison. An attempt returns
 the order and flags as lists, with the minutes waited and each rotation's
 mileage, so the swarm scores a decode without a walk or a plan object.
 """
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
-from itertools import compress
+from itertools import repeat
 
 import numpy as np
 
@@ -82,32 +85,42 @@ def _candidates(free: list[int], acc_l: float, acc_t: float, prev: int,
 
 
 def _drop_paying_cuts(order: list[int], maint_after: list[int], waited: int,
-                      rotation_km: list[float], joins: list[int], matrices: ConnectionMatrices,
-                      params: ModelParams) -> tuple[int, list[float]]:
+                      rotation_km: list[float], joins: list[tuple[int, int]],
+                      matrices: ConnectionMatrices, params: ModelParams
+                      ) -> tuple[int, list[float]]:
     """Clear the flags in maint_after of the set of cuts whose drop lowers
     the fitness most; return waited and rotation_km as build_cycle does.
 
     Dropping the cut on a depot arc that waits w minutes changes the fitness
     by omega1 * w - omega2 * max_mileage while the joined rotation fits both
     windows, so a cut pays only below that wait, and joins lists, ascending,
-    the pieces whose cut to the next one pays. A cut that does not pay stays,
-    so each run of pieces joined by paying cuts is a shortest path of its
-    own: from each piece a forward scan joins the next ones until a window
-    breaks. Ties keep the cut. Mileage is summed as validate's walk sums it.
+    (piece, position of its last train) for the pieces whose cut to the next
+    one pays. A cut that does not pay stays, so each run of pieces joined by
+    paying cuts is a shortest path of its own: from each piece a forward scan
+    joins the next ones until a window breaks. A run's outer ends are found by
+    a scan to the nearest cut, so nothing walks the other pieces. Ties keep
+    the cut. Mileage is summed as validate's walk sums it.
     """
     table, dep_time, arr_shifted = matrices.waits, matrices.dep_time, matrices.arr_shifted
     mileage, travel = matrices.tables.mileage, matrices.tables.travel
     max_l, max_t = params.max_mileage, params.max_time
     omega1, pays = params.omega1, params.omega2 * max_l
-    ends = list(compress(range(len(order)), maint_after))  # each piece's last position
     merged: list[float] = []
     k = done = 0  # joins[k] opens the next run; pieces before done are in merged
     while k < len(joins):
-        s = t = joins[k]
-        while k < len(joins) and joins[k] == t:  # the run is pieces s..t
+        s = t = joins[k][0]
+        ends = []  # the position of the last train of each piece s..t
+        while k < len(joins) and joins[k][0] == t:  # the run is pieces s..t
+            ends.append(joins[k][1])
             k, t = k + 1, t + 1
-        cuts = ends[s:t]
-        waits = [table[dep_time[order[e + 1]] - arr_shifted[order[e]]] for e in cuts]
+        last = ends[-1] + 1  # piece t ends at the next cut
+        while not maint_after[last]:
+            last += 1
+        ends.append(last)
+        start = ends[0]  # piece s starts after the cut before it
+        while start and not maint_after[start - 1]:
+            start -= 1
+        waits = [table[dep_time[order[e + 1]] - arr_shifted[order[e]]] for e in ends[:-1]]
         # from piece s on, best[i]: the least fitness change over i pieces; first[i]
         # and km[i]: the first piece and the mileage of the rotation ending there
         best = [0.0] + [math.inf] * (t - s + 1)
@@ -116,10 +129,10 @@ def _drop_paying_cuts(order: list[int], maint_after: list[int], waited: int,
             change = best[a]
             if change <= best[a + 1]:  # piece a alone, the last candidate
                 best[a + 1], first[a + 1], km[a + 1] = change, a, rotation_km[s + a]
-            d = ends[s + a - 1] + 1 if s + a else 0
+            d = ends[a - 1] + 1 if a else start
             acc_l, acc_t = mileage[order[d]], travel[order[d]]
             for b in range(a + 1, t - s + 1):  # join piece b over the cut before it
-                for d in range(d + 1, ends[s + b] + 1):
+                for d in range(d + 1, ends[b] + 1):
                     acc_l += mileage[order[d]]
                     acc_t += (table[dep_time[order[d]] - arr_shifted[order[d - 1]]]
                               + travel[order[d]])
@@ -133,7 +146,7 @@ def _drop_paying_cuts(order: list[int], maint_after: list[int], waited: int,
         while i:
             rotations.append(km[i])
             for c in range(first[i], i - 1):  # the cuts inside the rotation are dropped
-                maint_after[cuts[c]] = 0
+                maint_after[ends[c]] = 0
                 waited += waits[c]
             i = first[i]
         merged += rotation_km[done:s]
@@ -142,9 +155,23 @@ def _drop_paying_cuts(order: list[int], maint_after: list[int], waited: int,
     return waited, merged + rotation_km[done:]
 
 
+def _proposal_ids(proposal, n: int) -> list[int]:
+    """The first n entries of proposal as build_cycle's loop reads them: int()
+    of each, or 0, which proposes nothing, for an entry outside 1..n, NaN or
+    infinite. A shorter proposal raises IndexError before any draw."""
+    ids = [0] * n
+    for d in range(n):
+        p = proposal[d]
+        if p == p and p != math.inf and p != -math.inf:  # int() refuses NaN and inf
+            p = int(p)
+            if 0 < p <= n:
+                ids[d] = p
+    return ids
+
+
 def build_cycle(
     instance: TimetableInstance, matrices: ConnectionMatrices, rng: np.random.Generator,
-    proposal=None,
+    proposal=None, *, normalized: bool = False,
 ) -> tuple[list[int], list[int], int, list[float]]:
     """One construction attempt; raises DeadEnd when it cannot continue.
 
@@ -161,6 +188,16 @@ def build_cycle(
     that a proposed depot-bound train may break the mileage window (the
     relaxed, penalty-scored regime); time overruns are never admitted.
     Illegal proposals fall back to the normal random step.
+
+    An entry proposes nothing when it lies outside 1..n or is NaN or
+    infinite; any other entry is read by int(). The proposal is normalized
+    to that form once, before the first step (_proposal_ids), so no negative
+    id indexes a per-train list from its end. normalized=True promises that
+    it already is a list of n ints in 0..n, 0 for nothing, and skips that;
+    solve passes its rows so. Each step first tests whether the proposed
+    train departs from the station where the unit stands, dep_slot[p] ==
+    slot, which rejects most proposals in one comparison (dep_slot[0] is -1,
+    so 0 matches no station); placed and the windows are read only after it.
     """
     n = instance.n
     if instance.oversize is not None:
@@ -188,41 +225,41 @@ def build_cycle(
     maint_after[-1] = 1
     waited = 0  # minutes waited on the ordinary arcs so far
     rotation_km: list[float] = []  # mileage of each rotation cut so far
-    joins: list[int] = []  # the rotations whose cut to the next one pays to drop
+    # (rotation, its last position) for the rotations whose cut to the next one pays to drop
+    joins: list[tuple[int, int]] = []
     # the train placed last, its arrival minute less a day, and the slot of the
     # station where it arrives, 0 at the depot
     prev, arr, slot = 0, 0, 0
-    for d in range(n):  # position d + 1
-        proposed = None
-        if proposal is not None:
-            proposed = int(proposal[d])
-            if not 0 < proposed <= n or placed[proposed]:
-                proposed = None  # out of range or already placed: repaired below
-
+    # one id per position: 0, no proposal, leaves from no station (dep_slot[0] is -1)
+    if proposal is None:
+        proposal = repeat(0, n)
+    elif not normalized:
+        proposal = _proposal_ids(proposal, n)
+    for d, p in enumerate(proposal):  # position d + 1, proposing train p
         here = free[slot]
         if not slot:
             if not here:
                 raise DeadEnd(f"no depot departure left at position {d + 1}")
             # connectable at the depot means departing it
-            if proposed is not None and dep_slot[proposed] == 0:
-                j = proposed
+            if dep_slot[p] == 0 and not placed[p]:
+                j = p
                 del here[bisect_left(here, j)]
             else:
                 j = here.pop(int(random() * len(here)))
             if d:  # the maintenance arc into j closes the rotation before it
                 maint_after[d - 1] = 1
                 if omega1 * waits[dep_time[j] - arr] < pays:
-                    joins.append(len(rotation_km))
+                    joins.append((len(rotation_km), d - 1))
                 rotation_km.append(acc_l)
             acc_l, acc_t = mileage[j], travel[j]
         else:
-            conn = (waits[dep_time[proposed] - arr]
-                    if proposed is not None and dep_slot[proposed] == slot else None)
-            # only a depot-bound proposal may break the mileage window
-            if conn is not None and acc_t + conn + travel[proposed] <= max_t and (
-                arr_at_depot[proposed] or acc_l + mileage[proposed] <= max_l
+            # the station test rejects most proposals; only a depot-bound one
+            # may break the mileage window
+            if dep_slot[p] == slot and not placed[p] and (
+                acc_t + (conn := waits[dep_time[p] - arr]) + travel[p] <= max_t
+                and (arr_at_depot[p] or acc_l + mileage[p] <= max_l)
             ):
-                j = proposed
+                j = p
                 del here[bisect_left(here, j)]
             else:
                 reach_km, reach_min = arr_reach[prev]

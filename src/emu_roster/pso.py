@@ -176,7 +176,7 @@ class _BlockUniforms:
 
 def _decode(
     instance: TimetableInstance, matrices: ConnectionMatrices, rng, max_restarts: int,
-    proposal=None,
+    proposal=None, normalized: bool = False,
 ) -> tuple[tuple[list[int], list[int], int, list[float]], int]:
     """One decode: (order, flags, waited, rotation_km) as build_cycle returns
     them, and the failed attempts.
@@ -184,12 +184,14 @@ def _decode(
     A proposal guides one attempt, which max_restarts does not charge; after
     its dead end, or with no proposal, construct_with_stats runs up to
     max_restarts + 1 unguided attempts on the same generator. The count,
-    returned or raised, includes a failed guided attempt.
+    returned or raised, includes a failed guided attempt. normalized is
+    build_cycle's: solve's rows are lists of ids in 0..n already.
     """
     guided = proposal is not None
     if guided:
         try:
-            return build_cycle(instance, matrices, rng, proposal=proposal), 0
+            return build_cycle(instance, matrices, rng, proposal=proposal,
+                               normalized=normalized), 0
         except DeadEnd:
             pass
     try:
@@ -212,8 +214,10 @@ def decode(
 ) -> tuple[CirculationPlan, int]:
     """Realize a position vector as a plan, repairing illegal entries.
 
-    The position guides a first attempt that max_restarts does not charge;
-    returns (plan, dead ends), a guided dead end included.
+    An entry outside 1..n, NaN or infinite proposes nothing; build_cycle
+    normalizes the vector once, before its first step. The position guides a
+    first attempt that max_restarts does not charge; returns (plan, dead
+    ends), a guided dead end included.
     """
     (order, flags, _, _), failed = _decode(instance, matrices, rng, max_restarts, position)
     return CirculationPlan(tuple(order), tuple(flags)), failed
@@ -299,6 +303,9 @@ def solve(
                                          inertia_weight(k, cfg), cfg.c1, cfg.c2,
                                          r[:, :n], r[:, n:2 * n], v_min, v_max)
             moved = update_position(positions, velocities, n)
+            # the clamp keeps every id in [1, n] but a NaN velocity's, which
+            # the int64 cast makes -2**63 (0 on some platforms); 0 proposes nothing
+            np.maximum(moved, 0, out=moved)
             # A position is an order some attempt realized; proposing it again
             # replays that attempt without a draw or a dead end, so a particle
             # that stays keeps its last decode (see docs/model.md).
@@ -313,7 +320,8 @@ def solve(
             else:
                 try:
                     (order, flags, waited, rotation_km), failed = _decode(
-                        instance, matrices, rng, max_restarts, proposed[m] if k else None)
+                        instance, matrices, rng, max_restarts, proposed[m] if k else None,
+                        normalized=True)
                 except InfeasibleError as exc:
                     if not k:
                         raise

@@ -16,6 +16,7 @@ from emu_roster import (
     build_matrices,
     construct,
     construct_with_stats,
+    decode,
     decode_rotations,
     fitness_value,
     generate_instance,
@@ -493,6 +494,61 @@ def test_replaying_a_realized_order_takes_it_without_a_draw(fig1, fig1_matrices)
                 overruns += not fitness_from_totals(w, km, inst.params)[1]
             fallbacks += vec is not None and failed > 0
     assert replayed > 1000 and fallbacks > 0 and overruns > 0
+
+
+class CountingSource:
+    """random() of a generator, counting the calls."""
+
+    def __init__(self, seed):
+        self.gen, self.calls = np.random.default_rng(seed), 0
+
+    def random(self):
+        self.calls += 1
+        return self.gen.random()
+
+
+def _attempt(inst, m, seed, proposal):
+    """build_cycle's result or DeadEnd message, with the draws it took."""
+    src = CountingSource(seed)
+    try:
+        outcome = build_cycle(inst, m, src, proposal=proposal)
+    except DeadEnd as exc:
+        outcome = str(exc)
+    return outcome, src.calls
+
+
+@pytest.mark.parametrize("case", ["n8", "n500", "fig1"])
+def test_out_of_range_proposals_propose_nothing(case, fig1, fig1_matrices):
+    """Ids outside 1..n, negative ones included, guide nothing: the attempt
+    is the unguided one, draw for draw. A negative id must not read the
+    per-train lists from their end."""
+    if case == "fig1":
+        inst, m = fig1, fig1_matrices
+    else:
+        pairs, turnbacks, inst_seed = (4, 2, 3) if case == "n8" else (250, 8, 1)
+        inst = generate_instance(pairs, turnbacks, seed=inst_seed)
+        m = build_matrices(inst)
+    n = inst.n
+    outside = [(0, -1, -n, n + 1, 10**6)[d % 5] for d in range(n)]
+    for seed in range(10):
+        unguided = _attempt(inst, m, seed, None)
+        assert _attempt(inst, m, seed, outside) == unguided
+        assert _attempt(inst, m, seed, np.array(outside, dtype=np.int64)) == unguided
+
+
+def test_non_finite_proposal_entries_propose_nothing(fig1, fig1_matrices):
+    """A NaN or infinite entry of a float proposal is repaired like 0,
+    through build_cycle and through decode."""
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        vec = rng.integers(1, 13, size=12).astype(float)
+        vec[2], vec[7] = math.nan, rng.choice([math.inf, -math.inf])
+        zeroed = np.where(np.isfinite(vec), vec, 0)
+        seed = int(rng.integers(1 << 31))
+        assert (_attempt(fig1, fig1_matrices, seed, vec)
+                == _attempt(fig1, fig1_matrices, seed, zeroed))
+        assert (decode(vec, fig1, fig1_matrices, np.random.default_rng(seed))
+                == decode(zeroed, fig1, fig1_matrices, np.random.default_rng(seed)))
 
 
 def test_constructed_plans_cover_multiple_shapes():

@@ -504,6 +504,33 @@ def test_config_open_velocity_clamp_is_accepted(fig1, fig1_matrices):
     assert validate(res.best_plan, fig1, fig1_matrices).ok
 
 
+# SHA-256 of render_plan of the plan a 30 x 20 swarm returns when c1 and c2
+# overflow the velocity step to NaN, recorded before the constructor's loop
+# read plain int ids.
+OVERFLOW_SWARM = {
+    "n8": "fc7d82e545aa32be5566ebec4437a58ea588f74c62f14b08aba60ecdbc1bd31a",
+    "fig1": "c47e5d95a15665b19d262286ee1df1e441bee126f7fb4952365b5d3c095f32dd",
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_SWARM))
+def test_overflowing_velocities_still_give_a_valid_plan(case, fig1, fig1_matrices):
+    # finite coefficients pass the config checks; their NaN velocities cast
+    # to ids outside [1, n], and every such entry proposes nothing
+    if case == "fig1":
+        inst, m = fig1, fig1_matrices
+    else:
+        inst = generate_instance(4, 2, seed=3)
+        m = build_matrices(inst)
+    cfg = SwarmConfig(k_max=20, c1=1e308, c2=1e308, v_min=-math.inf, v_max=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # overflow, then the NaN cast
+        res = solve(inst, m, cfg)
+    assert validate(res.best_plan, inst, m).ok
+    sha = hashlib.sha256(render_plan(res.best_plan, inst, m).encode()).hexdigest()
+    assert sha == OVERFLOW_SWARM[case]
+
+
 def test_fitness_reduces_to_connection_time_without_slack_weight(fig1, fig1_matrices):
     inst = fig1.with_params(omega2=0.0)
     rng = np.random.default_rng(21)
